@@ -10,7 +10,6 @@ import argparse
 import os
 import random
 import sys
-from fractions import Fraction
 
 from . import __version__, baselines, conllu, generate, isomorphism, linarr, treebank
 from .errors import DeplinError, UnknownMetricError
@@ -162,10 +161,6 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _fmt_rational(x: Fraction) -> str:
-    return str(x)
-
-
 def _cmd_baseline(args) -> int:
     tree = RootedTree.from_head_vector(args.tree)
     what = args.what
@@ -181,11 +176,11 @@ def _cmd_baseline(args) -> int:
         return 0
     if what == "ED_unconstrained":
         from .properties import expected_D_unconstrained
-        print(_fmt_rational(expected_D_unconstrained(tree)))
+        print(expected_D_unconstrained(tree))
         return 0
     if what == "EC_unconstrained":
         from .properties import expected_C_unconstrained
-        print(_fmt_rational(expected_C_unconstrained(tree)))
+        print(expected_C_unconstrained(tree))
         return 0
     # estimate
     if not args.metric:
@@ -194,8 +189,7 @@ def _cmd_baseline(args) -> int:
         tree, args.metric, constraint=args.constraint, mode=args.mode,
         samples=args.samples, seed=args.seed)
     if res.mode == "exact":
-        print(f"mean={_fmt_rational(res.mean)} variance={_fmt_rational(res.variance)} "
-              f"samples={res.samples}")
+        print(f"mean={res.mean} variance={res.variance} samples={res.samples}")
     else:
         print(f"mean={res.mean:.6f} std_error={res.std_error:.6f} "
               f"samples={res.samples} seed={res.seed}")

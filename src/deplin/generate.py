@@ -21,12 +21,12 @@ from typing import Iterator, Optional, Union
 
 from .errors import SizeLimitExceededError
 from .isomorphism import canonical_code, free_canonical_code
+from .linarr import DEFAULT_EXHAUSTIVE_BOUND
 from .properties import centre
 from .trees import Arrangement, FreeTree, RootedTree
 
 Tree = Union[FreeTree, RootedTree]
 
-DEFAULT_ARRANGEMENT_BOUND = 10
 
 _LABELINGS = ("labeled", "unlabeled")
 _ROOTINGS = ("free", "rooted")
@@ -420,7 +420,7 @@ def _root_first_orders(rt: RootedTree) -> Iterator[list[int]]:
 
 
 def exhaustive_arrangements(t: Tree, constraint: str = "unconstrained",
-                            max_n: int = DEFAULT_ARRANGEMENT_BOUND) -> Iterator[Arrangement]:
+                            max_n: int = DEFAULT_EXHAUSTIVE_BOUND) -> Iterator[Arrangement]:
     """Yield each arrangement satisfying the constraint exactly once."""
     if t.n > max_n:
         raise SizeLimitExceededError(

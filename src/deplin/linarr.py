@@ -1,9 +1,10 @@
 """Metrics on (tree, linear arrangement) pairs and minimum-D solvers.
 
 D is the sum of dependency distances (edge lengths), C the number of edge
-crossings.  The solvers return exact minima of D under three regimes:
+crossings.  The solvers return minima of D under three regimes:
 unconstrained, planar (no crossings) and projective (planar with an
-uncovered root).
+uncovered root).  The planar and projective minima are exact; the
+unconstrained one is not yet (see the solver notes below).
 """
 
 from __future__ import annotations
@@ -212,99 +213,64 @@ def flux(t: Tree, a: Arrangement) -> FluxProfile:
 # ---------------------------------------------------------------------------
 # Minimum-D solvers
 #
-# Projectivity is equivalent to every subtree occupying a contiguous interval,
-# so the projective minimum is solved exactly by a block-placement DP: for
-# each vertex, child blocks are placed on both sides with larger blocks
-# farther out, and an O(k^2) DP picks the side of each block.  A planar
-# arrangement of a free tree is exactly a projective arrangement of the tree
-# rooted at the vertex occupying the leftmost position, hence the planar
-# minimum is the best projective minimum over all rootings.  The unconstrained
-# minimum coincides with the planar one on trees (an optimal arrangement can
-# always be taken crossing-free); this is cross-validated in the test suite
-# against independent exhaustive and subset-DP oracles.
+# Projectivity is equivalent to every subtree occupying a contiguous interval
+# with the root uncovered.  The projective minimum then has a closed form
+# (Gildea & Temperley 2007; Alemany-Puig, Esteban & Ferrer-i-Cancho 2022,
+# "Minimum projective linearizations of trees in linear time"): at each
+# vertex, sort the child blocks by decreasing size and alternate them between
+# the two sides, larger blocks farther out.  At a non-root vertex the edge to
+# the parent passes over every block on the parent's side, so the parent
+# counts as the largest block there: the largest child goes opposite the
+# parent and the rest alternate.  A planar arrangement of a free tree is a
+# projective arrangement of the tree rooted at its leftmost vertex, and the
+# planar minimum is the projective minimum rooted at a centroid (Hochberg &
+# Stallmann 2003; same 2022 paper).  Sorting makes both O(n log n).
+#
+# min_D_unconstrained still delegates to the planar solver, which is wrong on
+# some trees: an optimal unconstrained arrangement need not be crossing-free
+# (a counterexample with n = 16 is a root joined to three spiders that each
+# have two legs of length 2; the minimum is 25, the planar minimum 26).
 # ---------------------------------------------------------------------------
 
 
-def _assign_sides(blocks: list[tuple[int, list[int]]], anchored: bool):
-    """Place blocks (size, layout) on two sides of a pivot vertex.
-
-    Returns (extra_cost, left_layouts, right_layouts) where extra_cost counts
-    the gaps each block's edge to the pivot has to cross, plus, if anchored,
-    the pivot's own edge crossing every block on the anchor (left) side.
-    Within a side larger blocks go farther out; sides are chosen by DP over
-    blocks in decreasing size order.
-    """
-    if not blocks:
-        return 0, [], []
-    blocks = sorted(blocks, key=lambda b: -b[0])
-    k = len(blocks)
-    INF = float("inf")
-    # dp[nL] = min cost after placing a prefix; choice[j][nL] = placed left?
-    dp = {0: 0}
-    choice: list[dict[int, bool]] = []
-    for j in range(k):
-        b = blocks[j][0]
-        ndp: dict[int, float] = {}
-        ch: dict[int, bool] = {}
-        for nL, cost in dp.items():
-            nR = j - nL
-            left_cost = cost + b * nL + (b if anchored else 0)
-            if ndp.get(nL + 1, INF) > left_cost:
-                ndp[nL + 1] = left_cost
-                ch[nL + 1] = True
-            right_cost = cost + b * nR
-            if ndp.get(nL, INF) > right_cost:
-                ndp[nL] = right_cost
-                ch[nL] = False
-        dp = ndp
-        choice.append(ch)
-    best_nL = min(dp, key=dp.get)
-    extra = dp[best_nL]
-    sides = []
-    nL = best_nL
-    for j in range(k - 1, -1, -1):
-        if choice[j].get(nL, False):
-            sides.append(True)
-            nL -= 1
-        else:
-            sides.append(False)
-    sides.reverse()
-    left = [blocks[j][1] for j in range(k) if sides[j]]
-    right = [blocks[j][1] for j in range(k) if not sides[j]]
-    return extra, left, right
-
-
-def _min_projective(t: RootedTree) -> tuple[int, list[int]]:
-    """Exact projective minimum of D with a witness vertex order."""
-    n = t.n
+def _subtree_sizes(t: RootedTree) -> tuple[list[int], list[int]]:
+    """A parents-before-children vertex order and every subtree's size."""
     children = t.children
-    # children-before-parent order
     topo = [t.root]
     for v in topo:
         topo.extend(children[v])
-    size = [1] * (n + 1)
-    anch_cost = [0] * (n + 1)
-    anch_layout: list[list[int]] = [None] * (n + 1)  # anchor adjacent on the left
-    for v in reversed(topo):
-        blocks = [(size[c], anch_layout[c]) for c in children[v]]
-        base = sum(anch_cost[c] for c in children[v])
-        for c in children[v]:
-            size[v] += size[c]
-        if v == t.root:
-            extra, left, right = _assign_sides(blocks, anchored=False)
-            cost = base + extra
-        else:
-            extra, left, right = _assign_sides(blocks, anchored=True)
-            cost = base + extra + 1
-        layout: list[int] = []
-        for blk in left:  # largest farthest from v; anchor of each is to its right
-            layout.extend(reversed(blk))
-        layout.append(v)
-        for blk in reversed(right):  # smallest adjacent to v
-            layout.extend(blk)
-        anch_cost[v] = cost
-        anch_layout[v] = layout
-    return anch_cost[t.root], anch_layout[t.root]
+    size = [1] * (t.n + 1)
+    parent = t.parent
+    for v in reversed(topo[1:]):
+        size[parent[v]] += size[v]
+    return topo, size
+
+
+def _min_projective(t: RootedTree) -> tuple[int, list[int]]:
+    """Exact projective minimum of D with a witness position list (index 0 unused)."""
+    children, parent = t.children, t.parent
+    topo, size = _subtree_sizes(t)
+    lo = [0] * (t.n + 1)  # first position of each subtree's interval
+    # whether each vertex's parent lies to its left; the root's side is arbitrary
+    parent_left = [True] * (t.n + 1)
+    lo[t.root] = 1
+    pos = [0] * (t.n + 1)
+    for v in topo:
+        kids = sorted(children[v], key=size.__getitem__, reverse=True)
+        opposite, near = kids[0::2], kids[1::2]
+        left, right = (near, opposite) if parent_left[v] else (opposite, near)
+        p = lo[v]
+        for c in left:  # from the far left inwards; v is to their right
+            lo[c] = p
+            parent_left[c] = False
+            p += size[c]
+        pos[v] = p
+        q = lo[v] + size[v]
+        for c in right:  # from the far right inwards
+            q -= size[c]
+            lo[c] = q
+    value = sum(abs(pos[v] - pos[parent[v]]) for v in topo[1:])
+    return value, pos
 
 
 def min_D_projective(t: RootedTree, algorithm: str = "gt_alemany",
@@ -314,8 +280,19 @@ def min_D_projective(t: RootedTree, algorithm: str = "gt_alemany",
         return _min_D_exhaustive(t, "projective", max_n)
     if algorithm != "gt_alemany":
         raise ValueError(f"unknown projective solver: {algorithm!r}")
-    value, order = _min_projective(t)
-    return MinArrangementResult(value, Arrangement.from_vertex_order(order))
+    value, pos = _min_projective(t)
+    return MinArrangementResult(value, Arrangement(pos[1:]))
+
+
+def _centroid(t: RootedTree) -> int:
+    """A vertex whose removal leaves no component with more than n/2 vertices."""
+    _, size = _subtree_sizes(t)
+    v = t.root
+    while True:
+        heavy = [c for c in t.children[v] if 2 * size[c] > t.n]
+        if not heavy:
+            return v
+        v = heavy[0]
 
 
 def min_D_planar(t: Tree, algorithm: str = "hs_alemany",
@@ -326,13 +303,9 @@ def min_D_planar(t: Tree, algorithm: str = "hs_alemany",
         return _min_D_exhaustive(free, "planar", max_n)
     if algorithm != "hs_alemany":
         raise ValueError(f"unknown planar solver: {algorithm!r}")
-    best = None
-    best_order = None
-    for r in free.vertices():
-        value, order = _min_projective(RootedTree.root_at(free, r))
-        if best is None or value < best:
-            best, best_order = value, order
-    return MinArrangementResult(best, Arrangement.from_vertex_order(best_order))
+    rooted = t if isinstance(t, RootedTree) else RootedTree.root_at(free, 1)
+    value, pos = _min_projective(RootedTree.root_at(free, _centroid(rooted)))
+    return MinArrangementResult(value, Arrangement(pos[1:]))
 
 
 def min_D_unconstrained(t: Tree, algorithm: str = "shiloach",

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to validate the library.
 
 Everything here is deliberately simple and slow: exhaustive search over
-permutations, quadratic pair counting, and an exponential subset DP.  None
-of it shares code with the package under test.
+permutations, quadratic pair counting, a quadratic side-assignment DP for
+the projective minimum, and an exponential subset DP.  None of it shares
+code with the package under test.
 """
 
 from __future__ import annotations
@@ -107,6 +108,73 @@ def min_D_subset_dp(n, edges):
             m ^= low
         f[mask] = best + cut
     return f[full]
+
+
+def min_D_projective_dp(n, parent):
+    """Projective minimum D by a side-assignment DP at every vertex.
+
+    Every subtree occupies an interval.  A vertex's child blocks sit on its
+    two sides, larger blocks farther out, and a DP over the blocks in
+    decreasing size picks each block's side.  O(k^2) at a vertex with k
+    children.  parent[v] is v's head, 0 for the root; parent[0] is unused.
+    """
+    children = [[] for _ in range(n + 1)]
+    root = 0
+    for v in range(1, n + 1):
+        if parent[v]:
+            children[parent[v]].append(v)
+        else:
+            root = v
+    order = [root]
+    for v in order:
+        order.extend(children[v])
+    size = [1] * (n + 1)
+    # cost[v]: D inside v's subtree plus the part of v's edge to its parent
+    # that lies inside v's interval
+    cost = [0] * (n + 1)
+    for v in reversed(order):
+        anchored = 1 if v != root else 0
+        blocks = sorted((size[c] for c in children[v]), reverse=True)
+        # dp[k]: least extra cost with k of the blocks so far on the parent's
+        # side.  An edge to a block passes over every larger block farther
+        # out on the same side; on the parent's side, the edge to the parent
+        # passes over the block as well.
+        dp = {0: 0}
+        for j, b in enumerate(blocks):
+            ndp = {}
+            for k, c in dp.items():
+                for k2, c2 in ((k + 1, c + b * (k + anchored)), (k, c + b * (j - k))):
+                    if k2 not in ndp or c2 < ndp[k2]:
+                        ndp[k2] = c2
+            dp = ndp
+        for c in children[v]:
+            size[v] += size[c]
+        cost[v] = sum(cost[c] for c in children[v]) + min(dp.values()) + anchored
+    return cost[root]
+
+
+def min_D_planar_all_roots(n, edges):
+    """Planar minimum D as the least projective minimum over all n rootings."""
+    adj = {v: [] for v in range(1, n + 1)}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    best = None
+    for root in range(1, n + 1):
+        parent = [0] * (n + 1)
+        seen = {root}
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    parent[w] = u
+                    stack.append(w)
+        d = min_D_projective_dp(n, parent)
+        if best is None or d < best:
+            best = d
+    return best
 
 
 def isomorphic_by_permutation(edges_a, edges_b, n):

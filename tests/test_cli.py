@@ -1,8 +1,18 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import deplin
+from deplin import (
+    Arrangement,
+    classify_arrangement,
+    from_head_vector,
+    num_crossings,
+    sum_edge_lengths,
+)
 from deplin.cli import main
 
 
@@ -12,16 +22,23 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+def run_module_cli(*args):
+    # the child imports the same deplin as the tests, installed or not
+    src = str(Path(deplin.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "deplin.cli", *args],
+                          capture_output=True, text=True, env=env)
+
+
 def test_version():
-    proc = subprocess.run([sys.executable, "-m", "deplin.cli", "--version"],
-                          capture_output=True, text=True)
+    proc = run_module_cli("--version")
     assert proc.returncode == 0
     assert proc.stdout.startswith("deplin ")
 
 
 def test_usage_error_exit_code():
-    proc = subprocess.run([sys.executable, "-m", "deplin.cli", "generate"],
-                          capture_output=True, text=True)
+    proc = run_module_cli("generate")
     assert proc.returncode == 2
 
 
@@ -88,6 +105,23 @@ def test_baseline_values(capsys):
     code, out, _ = run_cli(
         ["baseline", "--tree", "0 1", "--what", "EC_unconstrained"], capsys)
     assert code == 0 and out.strip() == "0"
+
+
+@pytest.mark.parametrize("what", ["Dmin_planar", "Dmin_projective"])
+def test_baseline_min_witness(what, capsys):
+    # the witness may be any optimal arrangement; only its value is fixed
+    hv = "2 3 0 3 2 7 5 4 3 9 9 1"
+    code, out, _ = run_cli(["baseline", "--tree", hv, "--what", what], capsys)
+    assert code == 0
+    value, positions = out.splitlines()
+    t = from_head_vector(hv)
+    positions = [int(p) for p in positions.split()]
+    assert sorted(positions) == list(range(1, t.n + 1))
+    a = Arrangement(positions)
+    assert sum_edge_lengths(t, a) == int(value)
+    assert num_crossings(t, a) == 0
+    if what == "Dmin_projective":
+        assert classify_arrangement(t, a).projective
 
 
 def test_baseline_estimate(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -119,6 +120,72 @@ def test_min_planar_matches_exhaustive():
             assert res.value == expected
             assert num_crossings(t, res.arrangement) == 0
             assert sum_edge_lengths(t, res.arrangement) == res.value
+
+
+def _check_min_witness(t, res, projective):
+    parent = [0] + list(t.to_head_vector())
+    pos = _positions(t, res.arrangement)
+    assert oracles.edge_lengths_sum(list(t.edges()), pos) == res.value
+    assert oracles.crossings_pairs(list(t.edges()), pos) == 0
+    if projective:
+        assert oracles.is_projective(t.n, parent, pos)
+
+
+def test_min_projective_and_planar_match_dp_oracles_exhaustive():
+    # every rooting of every unlabeled free tree with n <= 11
+    for n in range(1, 12):
+        for f in exhaustive_trees(TreeKind.parse("unlabeled-free"), n):
+            planar = oracles.min_D_planar_all_roots(n, list(f.edges()))
+            res = min_D_planar(f)
+            assert res.value == planar
+            _check_min_witness(f.root_at(1), res, projective=False)
+            for r in f.vertices():
+                t = f.root_at(r)
+                parent = [0] + list(t.to_head_vector())
+                res = min_D_projective(t)
+                assert res.value == oracles.min_D_projective_dp(n, parent)
+                _check_min_witness(t, res, projective=True)
+                assert min_D_planar(t).value == planar
+
+
+def test_min_projective_and_planar_match_dp_oracles_random():
+    rng = random.Random(2022)
+    kind = TreeKind.parse("labeled-rooted")
+    for _ in range(40):
+        n = rng.randint(12, 150)
+        t = random_tree(kind, n, rng)
+        parent = [0] + list(t.to_head_vector())
+        res = min_D_projective(t)
+        assert res.value == oracles.min_D_projective_dp(n, parent)
+        _check_min_witness(t, res, projective=True)
+        res = min_D_planar(t)
+        assert res.value == oracles.min_D_planar_all_roots(n, list(t.edges()))
+        _check_min_witness(t, res, projective=False)
+
+
+def _scale_tree(shape, n):
+    if shape == "path":
+        return from_head_vector([0] + list(range(1, n)))
+    if shape == "star":
+        return from_head_vector([0] + [1] * (n - 1))
+    rng = random.Random(n)  # random recursive tree
+    return from_head_vector([0] + [rng.randint(1, i) for i in range(1, n)])
+
+
+@pytest.mark.parametrize("shape", ["path", "star", "random_recursive"])
+@pytest.mark.parametrize("solver", [min_D_projective, min_D_planar])
+def test_min_solvers_at_scale(solver, shape):
+    t = _scale_tree(shape, 5000)
+    start = time.perf_counter()
+    res = solver(t)
+    assert time.perf_counter() - start < 2.0
+    a = res.arrangement
+    assert sum_edge_lengths(t, a) == res.value
+    assert num_crossings(t, a) == 0
+    if solver is min_D_projective:
+        rp = a.position[t.root]
+        assert not any(min(a.position[u], a.position[v]) < rp < max(a.position[u], a.position[v])
+                       for u, v in t.edges())
 
 
 def test_min_unconstrained_matches_subset_dp():
