@@ -7,6 +7,12 @@ sampler (random); unlabeled free trees are derived from the rooted machinery
 through centre/centroid canonicalization.  All counting uses Python's
 unbounded integers, so no size overflows.
 
+Arrangement counts are closed forms: n! unconstrained, the product of
+(children(v) + 1)! projective, and n times the product of deg(v)! planar,
+since every vertex comes first in the same number of planar arrangements.
+A planar draw therefore picks the first vertex from one random integer and
+samples a projective order of the tree rooted there, in O(n) time.
+
 Random generation takes a ``random.Random`` instance (Mersenne Twister); the
 same seeded generator reproduces the same sample sequence bit-exactly.
 """
@@ -64,22 +70,22 @@ ALL_KINDS = tuple(TreeKind(l, r) for l in _LABELINGS for r in _ROOTINGS)
 # ---------------------------------------------------------------------------
 
 _rooted_counts: list[int] = [0, 1]  # index n; number of unlabeled rooted trees
+_divisor_sums: list[int] = [0]  # index j; sum of d * r_d over the divisors d of j
 
 
 def _unlabeled_rooted_count(n: int) -> int:
     while len(_rooted_counts) <= n:
         m = len(_rooted_counts)
-        total = 0
-        for j in range(1, m):
-            s = sum(d * _rooted_counts[d] for d in range(1, j + 1) if j % d == 0)
-            total += s * _rooted_counts[m - j]
+        k = m - 1  # the one divisor sum the table lacks
+        _divisor_sums.append(
+            sum(d * _rooted_counts[d] for d in range(1, k + 1) if k % d == 0))
+        total = sum(_divisor_sums[j] * _rooted_counts[m - j] for j in range(1, m))
         _rooted_counts.append(total // (m - 1))
     return _rooted_counts[n]
 
 
 def _unlabeled_free_count(n: int) -> int:
-    r = _unlabeled_rooted_count  # ensure table
-    r(n)
+    _unlabeled_rooted_count(n)  # fills the table
     if n == 1:
         return 1
     total = 2 * _rooted_counts[n]
@@ -136,26 +142,6 @@ def _free_from_edges(n: int, edges: list[tuple[int, int]]) -> FreeTree:
         adj[u].append(v)
         adj[v].append(u)
     return FreeTree._from_adjacency(n, tuple(tuple(a) for a in adj))
-
-
-def _rooted_from_free(free: FreeTree, root: int) -> RootedTree:
-    n = free.n
-    parent = [0] * (n + 1)
-    children: list[tuple[int, ...]] = [()] * (n + 1)
-    stack = [root]
-    seen = bytearray(n + 1)
-    seen[root] = 1
-    while stack:
-        v = stack.pop()
-        kids = []
-        for w in free.neighbors(v):
-            if not seen[w]:
-                seen[w] = 1
-                parent[w] = v
-                kids.append(w)
-                stack.append(w)
-        children[v] = tuple(kids)
-    return RootedTree._from_parts(n, root, tuple(parent), tuple(children), free)
 
 
 def _labeled_free_trees(n: int) -> Iterator[FreeTree]:
@@ -234,7 +220,7 @@ def exhaustive_trees(kind: TreeKind, n: int) -> Iterator[Tree]:
         if kind.rooting == "free":
             return _labeled_free_trees(n)
         return (
-            _rooted_from_free(free, root)
+            RootedTree.root_at(free, root)
             for free in _labeled_free_trees(n)
             for root in range(1, n + 1)
         )
@@ -348,7 +334,7 @@ def random_tree(kind: TreeKind, n: int, rng: random.Random) -> Tree:
         free = _random_labeled_free(n, rng)
         if kind.rooting == "free":
             return free
-        return _rooted_from_free(free, rng.randint(1, n))
+        return RootedTree.root_at(free, rng.randint(1, n))
     if kind.rooting == "rooted":
         return _node_to_rooted(_random_rooted_node(n, rng))
     return _random_unlabeled_free(n, rng)
@@ -371,18 +357,15 @@ def num_arrangements(t: Tree, constraint: str = "unconstrained") -> int:
             prod *= factorial(len(t.children[v]) + 1)
         return prod
     if constraint == "planar":
+        # each vertex is first in prod_v deg(v)! planar arrangements: rooted
+        # there, the root orders its deg(r) child blocks and every other
+        # vertex v orders itself among its deg(v) - 1 child blocks
         free = t.to_free() if isinstance(t, RootedTree) else t
-        return sum(_planar_weight(_rooted_from_free(free, r)) for r in free.vertices())
+        prod = 1
+        for v in free.vertices():
+            prod *= factorial(free.degree(v))
+        return free.n * prod
     raise ValueError(f"unknown constraint: {constraint!r}")
-
-
-def _planar_weight(rt: RootedTree) -> int:
-    """Number of planar arrangements with rt's root at position 1."""
-    prod = factorial(len(rt.children[rt.root]))
-    for v in rt.vertices():
-        if v != rt.root:
-            prod *= factorial(len(rt.children[v]) + 1)
-    return prod
 
 
 def _expand_blocks(rt: RootedTree, items: tuple, me: int) -> Iterator[list[int]]:
@@ -445,29 +428,35 @@ def exhaustive_arrangements(t: Tree, constraint: str = "unconstrained",
             # planar arrangement <=> projective for the tree rooted at the
             # vertex in position 1, so the union over rootings is disjoint
             for r in free.vertices():
-                rt = _rooted_from_free(free, r)
+                rt = RootedTree.root_at(free, r)
                 for order in _root_first_orders(rt):
                     yield Arrangement.from_vertex_order(order)
         return gen_planar()
     raise ValueError(f"unknown constraint: {constraint!r}")
 
 
-def _sample_projective_order(rt: RootedTree, v: int, rng: random.Random,
+def _sample_projective_order(rt: RootedTree, rng: random.Random,
                              pin_first: bool = False) -> list[int]:
-    kids = rt.children[v]
-    if pin_first:
-        items = list(kids)
-        rng.shuffle(items)
-        items = [0] + items
-    else:
-        items = [0] + list(kids)
-        rng.shuffle(items)
+    """Uniform projective order of rt; with pin_first, the root comes first.
+
+    The walk goes left to right with an explicit stack: a positive entry is
+    a vertex whose block is not yet ordered, a negative one a vertex to
+    place.  Each block is shuffled when the walk reaches it."""
     out: list[int] = []
-    for item in items:
-        if item == 0:
-            out.append(v)
+    stack = [rt.root]
+    if pin_first:
+        kids = list(rt.children[rt.root])
+        rng.shuffle(kids)
+        out.append(rt.root)
+        stack = kids[::-1]
+    while stack:
+        v = stack.pop()
+        if v < 0:
+            out.append(-v)
         else:
-            out.extend(_sample_projective_order(rt, item, rng))
+            items = [-v, *rt.children[v]]
+            rng.shuffle(items)
+            stack += reversed(items)
     return out
 
 
@@ -483,17 +472,13 @@ def random_arrangement(t: Tree, constraint: str = "unconstrained",
     if constraint == "projective":
         if not isinstance(t, RootedTree):
             raise TypeError("projective arrangements require a RootedTree")
-        return Arrangement.from_vertex_order(
-            _sample_projective_order(t, t.root, rng))
+        return Arrangement.from_vertex_order(_sample_projective_order(t, rng))
     if constraint == "planar":
+        # planar <=> projective for the tree rooted at the first vertex, and
+        # every vertex is first in the same number of planar arrangements
         free = t.to_free() if isinstance(t, RootedTree) else t
-        rooted = [_rooted_from_free(free, r) for r in free.vertices()]
-        weights = [_planar_weight(rt) for rt in rooted]
-        x = rng.randrange(sum(weights))
-        cum = 0
-        for rt, w in zip(rooted, weights):
-            cum += w
-            if x < cum:
-                return Arrangement.from_vertex_order(
-                    _sample_projective_order(rt, rt.root, rng, pin_first=True))
+        total = num_arrangements(free, "planar")
+        first = rng.randrange(total) // (total // free.n) + 1
+        return Arrangement.from_vertex_order(_sample_projective_order(
+            RootedTree.root_at(free, first), rng, pin_first=True))
     raise ValueError(f"unknown constraint: {constraint!r}")

@@ -135,20 +135,23 @@ class RootedTree:
         n = free.n
         if not (1 <= r <= n):
             raise OutOfRangeError(f"root {r} out of range 1..{n}")
+        adj = free._adj
         parent = [0] * (n + 1)
-        children: list[list[int]] = [[] for _ in range(n + 1)]
+        children: list[tuple[int, ...]] = [()] * (n + 1)
         stack = [r]
         visited = bytearray(n + 1)
         visited[r] = 1
         while stack:
             v = stack.pop()
-            for w in free.neighbors(v):
+            kids = []
+            for w in adj[v]:
                 if not visited[w]:
                     visited[w] = 1
                     parent[w] = v
-                    children[v].append(w)
+                    kids.append(w)
                     stack.append(w)
-        return cls._from_parts(n, r, tuple(parent), tuple(tuple(c) for c in children), free)
+            children[v] = tuple(kids)
+        return cls._from_parts(n, r, tuple(parent), tuple(children), free)
 
     @classmethod
     def _from_parts(cls, n, root, parent, children, free=None) -> "RootedTree":

@@ -1,3 +1,4 @@
+import random
 import sys
 from pathlib import Path
 
@@ -14,6 +15,16 @@ TREEBANK_LINES = (
     "0 1 2 5 1 7 1 7 10 7 10",
     "2 0 2 2 4 4 8 4 8 9",
 )
+
+
+def scale_tree(shape, n):
+    """A rooted path, star or random recursive tree on n vertices."""
+    if shape == "path":
+        return from_head_vector([0] + list(range(1, n)))
+    if shape == "star":
+        return from_head_vector([0] + [1] * (n - 1))
+    rng = random.Random(n)
+    return from_head_vector([0] + [rng.randint(1, i) for i in range(1, n)])
 
 
 @pytest.fixture

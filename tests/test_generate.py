@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -11,16 +12,18 @@ from deplin import (
     exhaustive_arrangements,
     exhaustive_trees,
     free_canonical_code,
+    from_head_vector,
     num_arrangements,
     random_arrangement,
     random_tree,
 )
 from deplin.errors import SizeLimitExceededError
-from deplin.generate import TreeKind
+from deplin.generate import ALL_KINDS, TreeKind
 from deplin.linarr import classify_arrangement, num_crossings
 from deplin.trees import RootedTree
 
 import oracles
+from conftest import scale_tree
 
 LF = TreeKind.parse("labeled-free")
 LR = TreeKind.parse("labeled-rooted")
@@ -37,6 +40,19 @@ def test_count_formulas():
     # OEIS A000081 (rooted) and A000055 (free)
     assert [count_trees(UR, n) for n in range(1, 10)] == [1, 1, 2, 4, 9, 20, 48, 115, 286]
     assert [count_trees(UF, n) for n in range(1, 10)] == [1, 1, 1, 2, 3, 6, 11, 23, 47]
+    assert count_trees(UR, 20) == 12_826_228
+    assert count_trees(UR, 30) == 354_426_847_597
+    assert count_trees(UF, 20) == 823_065
+    assert count_trees(UF, 30) == 14_830_871_802
+
+
+def test_unlabeled_rooted_count_quadratic(monkeypatch):
+    # start from an empty table so the whole recurrence runs
+    monkeypatch.setattr("deplin.generate._rooted_counts", [0, 1])
+    monkeypatch.setattr("deplin.generate._divisor_sums", [0])
+    start = time.perf_counter()
+    count_trees(UR, 1000)
+    assert time.perf_counter() - start < 3.0
 
 
 # --- exhaustive generation ---------------------------------------------------
@@ -168,3 +184,54 @@ def test_random_arrangements_valid_and_uniform_small():
         total = sum(counts.values())
         for k in support:
             assert abs(counts[k] / total - 1 / len(support)) < 0.25 / len(support) + 0.02
+
+
+# --- seeded streams and scale ------------------------------------------------
+
+# Literals recorded from the generators at commit 001c0b2; a change to any of
+# them changes every seeded sample, estimate and benchmark input downstream.
+GOLDEN_TREES = {
+    "labeled-free": (31, ((1, 4), (1, 11), (1, 3), (2, 6), (2, 3), (2, 9), (3, 7),
+                          (5, 8), (7, 8), (9, 12), (10, 11))),
+    "labeled-rooted": (32, (8, 0, 5, 2, 12, 2, 3, 4, 4, 12, 1, 1)),
+    "unlabeled-free": (33, ((1, 2), (1, 7), (2, 3), (3, 4), (3, 5), (5, 6), (7, 8),
+                            (8, 9), (9, 10), (10, 11), (11, 12))),
+    "unlabeled-rooted": (34, (0, 1, 2, 3, 4, 5, 4, 4, 8, 8, 10, 4)),
+}
+
+GOLDEN_ARRANGEMENTS = {
+    "unconstrained": [(4, 3, 9, 1, 8, 7, 2, 6, 5), (3, 8, 7, 1, 6, 5, 2, 4, 9),
+                      (9, 6, 1, 4, 5, 2, 7, 3, 8)],
+    "projective": [(1, 9, 4, 5, 7, 8, 6, 3, 2), (7, 6, 8, 5, 4, 2, 3, 9, 1),
+                   (3, 5, 6, 7, 8, 4, 2, 9, 1)],
+    "planar": [(9, 3, 5, 4, 8, 6, 7, 2, 1), (8, 7, 6, 5, 2, 3, 1, 9, 4),
+               (1, 9, 5, 4, 6, 7, 8, 2, 3)],
+}
+
+
+def test_seeded_streams_golden():
+    for kind in ALL_KINDS:
+        seed, expected = GOLDEN_TREES[str(kind)]
+        t = random_tree(kind, 12, random.Random(seed))
+        key = t.to_head_vector() if isinstance(t, RootedTree) else tuple(t.edges())
+        assert key == expected, kind
+    t = from_head_vector("3 3 0 3 4 4 6 6 1")
+    rng = random.Random(77)
+    for constraint, expected in GOLDEN_ARRANGEMENTS.items():
+        drawn = [random_arrangement(t, constraint, rng).inverse[1:] for _ in range(3)]
+        assert drawn == expected, constraint
+
+
+@pytest.mark.parametrize("shape", ["path", "star", "random_recursive"])
+@pytest.mark.parametrize("constraint", ["projective", "planar"])
+def test_random_arrangement_at_scale(constraint, shape):
+    t = scale_tree(shape, 5000)
+    start = time.perf_counter()
+    a = random_arrangement(t, constraint, random.Random(3))
+    assert time.perf_counter() - start < 2.0
+    assert sorted(a.inverse[1:]) == list(range(1, t.n + 1))
+    assert num_crossings(t, a) == 0
+    if constraint == "projective":
+        rp = a.position[t.root]
+        assert not any(min(a.position[u], a.position[v]) < rp < max(a.position[u], a.position[v])
+                       for u, v in t.edges())

@@ -21,6 +21,7 @@ from deplin import (
 from deplin.generate import TreeKind, exhaustive_trees
 
 import oracles
+from conftest import scale_tree
 
 
 def _positions(t, a):
@@ -163,19 +164,10 @@ def test_min_projective_and_planar_match_dp_oracles_random():
         _check_min_witness(t, res, projective=False)
 
 
-def _scale_tree(shape, n):
-    if shape == "path":
-        return from_head_vector([0] + list(range(1, n)))
-    if shape == "star":
-        return from_head_vector([0] + [1] * (n - 1))
-    rng = random.Random(n)  # random recursive tree
-    return from_head_vector([0] + [rng.randint(1, i) for i in range(1, n)])
-
-
 @pytest.mark.parametrize("shape", ["path", "star", "random_recursive"])
 @pytest.mark.parametrize("solver", [min_D_projective, min_D_planar])
 def test_min_solvers_at_scale(solver, shape):
-    t = _scale_tree(shape, 5000)
+    t = scale_tree(shape, 5000)
     start = time.perf_counter()
     res = solver(t)
     assert time.perf_counter() - start < 2.0
