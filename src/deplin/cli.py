@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 I/O failure, 2 usage error, 3 not isomorphic
+Exit codes: 0 success, 1 I/O or processing failure, 2 usage error, 3 not isomorphic
 (`isomorphic` subcommand only).  Data goes to stdout, diagnostics to stderr.
 """
 
@@ -19,7 +19,9 @@ from .trees import FreeTree, RootedTree
 _POLICY = {"skip": "skip_and_report", "fail": "fail_fast"}
 
 
-def _default_threads() -> int:
+def _threads(requested) -> int:
+    if requested is not None:
+        return requested
     env = os.environ.get("DEPLIN_THREADS")
     if env:
         return max(1, int(env))
@@ -102,7 +104,7 @@ def _cmd_analyze(args) -> int:
     report = treebank.process_treebank(
         args.input, args.output, _parse_features(args.features),
         error_policy=_POLICY[args.policy], exact=args.exact,
-        threads=args.threads or _default_threads())
+        threads=_threads(args.threads))
     print(f"processed {report.processed} sentences, skipped {len(report.skipped)} "
           f"in {report.elapsed:.3f}s -> {report.output_path}", file=sys.stderr)
     for line_no, reason in report.skipped:
@@ -115,7 +117,7 @@ def _cmd_collection(args) -> int:
         args.list, output_dir=args.outdir, merge_out=args.merge_out,
         feature_names=_parse_features(args.features),
         error_policy=_POLICY[args.policy], exact=args.exact,
-        threads=args.threads or _default_threads())
+        threads=_threads(args.threads))
     print(f"{len(collection.reports)} treebanks processed, "
           f"{len(collection.missing)} missing", file=sys.stderr)
     for name, rep in collection.reports:
@@ -230,18 +232,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (UnknownMetricError, ValueError) as exc:
+    except UnknownMetricError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, UnknownMetricError):
-            print(f"registered features: {', '.join(sorted(REGISTRY))}", file=sys.stderr)
+        print(f"registered features: {', '.join(sorted(REGISTRY))}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except DeplinError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
+        return 1
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

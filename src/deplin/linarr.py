@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from . import properties
 from .errors import NoEdgesError, SizeLimitExceededError
 from .trees import Arrangement, FreeTree, RootedTree, _check_same_size
 
@@ -284,17 +285,6 @@ def min_D_projective(t: RootedTree, algorithm: str = "gt_alemany",
     return MinArrangementResult(value, Arrangement(pos[1:]))
 
 
-def _centroid(t: RootedTree) -> int:
-    """A vertex whose removal leaves no component with more than n/2 vertices."""
-    _, size = _subtree_sizes(t)
-    v = t.root
-    while True:
-        heavy = [c for c in t.children[v] if 2 * size[c] > t.n]
-        if not heavy:
-            return v
-        v = heavy[0]
-
-
 def min_D_planar(t: Tree, algorithm: str = "hs_alemany",
                  max_n: int = DEFAULT_EXHAUSTIVE_BOUND) -> MinArrangementResult:
     free = t.to_free() if isinstance(t, RootedTree) else t
@@ -303,8 +293,7 @@ def min_D_planar(t: Tree, algorithm: str = "hs_alemany",
         return _min_D_exhaustive(free, "planar", max_n)
     if algorithm != "hs_alemany":
         raise ValueError(f"unknown planar solver: {algorithm!r}")
-    rooted = t if isinstance(t, RootedTree) else RootedTree.root_at(free, 1)
-    value, pos = _min_projective(RootedTree.root_at(free, _centroid(rooted)))
+    value, pos = _min_projective(RootedTree.root_at(free, min(properties.centroid(t))))
     return MinArrangementResult(value, Arrangement(pos[1:]))
 
 

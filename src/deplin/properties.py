@@ -99,32 +99,21 @@ def centre(t: Tree) -> frozenset[int]:
 
 
 def centroid(t: Tree) -> frozenset[int]:
-    """Vertices minimizing the largest component size after their removal."""
-    free = _as_free(t)
-    n = free.n
-    if n == 1:
-        return frozenset({1})
-    rt = RootedTree.root_at(free, 1)
-    subtree = [1] * (n + 1)
+    """Vertices minimizing the largest component size after their removal.
+
+    These are the vertices that leave no component above n/2: one, or two
+    adjacent ones.  Only vertices on the path of subtrees with at least n/2
+    vertices, which starts at the root, pass the first test."""
+    rt = t if isinstance(t, RootedTree) else RootedTree.root_at(t, 1)
+    n, parent, children = rt.n, rt.parent, rt.children
     topo = [rt.root]
     for v in topo:
-        topo.extend(rt.children[v])
-    for v in reversed(topo):
-        for c in rt.children[v]:
-            subtree[v] += subtree[c]
-    best = None
-    winners = []
-    for v in free.vertices():
-        comps = [subtree[c] for c in rt.children[v]]
-        if v != rt.root:
-            comps.append(n - subtree[v])
-        worst = max(comps)
-        if best is None or worst < best:
-            best = worst
-            winners = [v]
-        elif worst == best:
-            winners.append(v)
-    return frozenset(winners)
+        topo.extend(children[v])
+    size = [1] * (n + 1)
+    for v in reversed(topo[1:]):
+        size[parent[v]] += size[v]
+    return frozenset(v for v in topo if 2 * size[v] >= n
+                     and all(2 * size[c] <= n for c in children[v]))
 
 
 def tree_shape(t: Tree) -> TreeShapeFlags:

@@ -9,11 +9,12 @@ for arrangement-dependent features.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import features
 from .errors import DeplinError, MalformedLineError
@@ -105,14 +106,11 @@ def render_value(value, exact: bool = False) -> str:
     return str(value)
 
 
-def _row_for_sentence(args) -> str:
-    sentence_id, heads, names, exact = args
-    tree = RootedTree.from_head_vector(heads)
+def _row(names: list[str], exact: bool, item: tuple[int, RootedTree]) -> str:
+    sentence_id, tree = item
     ctx = features.FeatureContext(tree, Arrangement.identity(tree.n))
-    cells = [str(sentence_id), str(tree.n)]
-    for feat in features.resolve(names):
-        cells.append(render_value(feat.func(ctx), exact))
-    return ",".join(cells)
+    values = (render_value(feat.func(ctx), exact) for feat in features.resolve(names))
+    return ",".join([str(sentence_id), str(tree.n), *values])
 
 
 def _normalized_features(feature_names: Optional[Sequence[str]]) -> list[str]:
@@ -127,26 +125,44 @@ def _normalized_features(feature_names: Optional[Sequence[str]]) -> list[str]:
     return names
 
 
-def _compute_rows(source: TreebankSource, names: list[str], exact: bool,
-                  threads: int) -> tuple[list[str], ProcessingReport]:
-    report = ProcessingReport()
-    tasks = []
-    sentence_no = 0
-    for rec in source:
-        sentence_no += 1
-        if rec.error is not None:
-            report.skipped.append((rec.line_no, rec.error))
-            continue
-        tasks.append((sentence_no, rec.heads, names, exact))
-    if threads > 1 and len(tasks) > 1:
-        import multiprocessing
+def _rows(source: TreebankSource, names: list[str], exact: bool, threads: int,
+          report: ProcessingReport) -> Iterator[str]:
+    """Stream a treebank's CSV rows in input order, counting into `report`.
+    With a pool, `trees` runs in its task thread; counts are final after the last row."""
+    def trees() -> Iterator[tuple[int, RootedTree]]:
+        for sentence_id, rec in enumerate(source, start=1):
+            if rec.error is not None:
+                report.skipped.append((rec.line_no, rec.error))
+                continue
+            report.processed += 1
+            yield sentence_id, rec.tree
 
-        with multiprocessing.Pool(threads) as pool:
-            rows = list(pool.imap(_row_for_sentence, tasks, chunksize=64))
+    row = functools.partial(_row, names, exact)
+    if threads == 1:
+        yield from map(row, trees())
     else:
-        rows = [_row_for_sentence(t) for t in tasks]
-    report.processed = len(rows)
-    return rows, report
+        import multiprocessing
+        with multiprocessing.Pool(threads) as pool:
+            yield from pool.imap(row, trees(), chunksize=64)
+
+
+def _write_csv(path: str, header: list[str], rows: Iterable[str]) -> None:
+    """Write beside the file at `path` and move into place, so a failure leaves
+    no partial CSV.  A stream such as a pipe or /dev/stdout is written directly:
+    replacing it would replace the device or link, not write to it."""
+    stream = os.path.exists(path) and not os.path.isfile(path)
+    target = os.path.realpath(path)
+    tmp = path if stream else f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as out:
+            out.write(",".join(header) + "\n")
+            for row in rows:
+                out.write(row + "\n")
+        if not stream:
+            os.replace(tmp, target)
+    finally:
+        if not stream and os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def process_treebank(
@@ -160,19 +176,20 @@ def process_treebank(
 ) -> ProcessingReport:
     """Compute the requested features for every sentence into a CSV file."""
     started = time.perf_counter()
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     names = _normalized_features(feature_names)
     source = read_head_vectors(input_path, error_policy)
-    rows, report = _compute_rows(source, names, exact, threads)
-    with open(output_path, "w", encoding="utf-8", newline="") as out:
-        out.write(",".join(["sentence_id", "n"] + names) + "\n")
-        for row in rows:
-            out.write(row + "\n")
+    report = ProcessingReport(output_path=output_path)
+    _write_csv(output_path, ["sentence_id", "n"] + names,
+               _rows(source, names, exact, threads, report))
     report.elapsed = time.perf_counter() - started
-    report.output_path = output_path
     return report
 
 
-def _collection_members(list_path: str) -> list[str]:
+def _collection_members(list_path: str, error_policy: str,
+                        missing: list[str]) -> list[tuple[str, str]]:
+    """(stem, path) of each listed member that exists; the others go to `missing`."""
     base = os.path.dirname(os.path.abspath(list_path))
     members = []
     with open(list_path, "r", encoding="utf-8") as fh:
@@ -180,7 +197,13 @@ def _collection_members(list_path: str) -> list[str]:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            members.append(line if os.path.isabs(line) else os.path.join(base, line))
+            path = line if os.path.isabs(line) else os.path.join(base, line)
+            if os.path.exists(path):
+                members.append((os.path.splitext(os.path.basename(path))[0], path))
+            elif error_policy == "fail_fast":
+                raise FileNotFoundError(path)
+            else:
+                missing.append(path)
     return members
 
 
@@ -202,39 +225,28 @@ def process_collection(
     """
     if (output_dir is None) == (merge_out is None):
         raise ValueError("exactly one of output_dir / merge_out is required")
-    if not os.path.exists(list_path):
-        raise FileNotFoundError(list_path)
-    names = _normalized_features(feature_names)
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     collection = CollectionReport()
-    merged_rows: list[str] = []
+    members = _collection_members(list_path, error_policy, collection.missing)
+    names = _normalized_features(feature_names)
     if output_dir is not None:
         os.makedirs(output_dir, exist_ok=True)
-    for member in _collection_members(list_path):
-        stem = os.path.splitext(os.path.basename(member))[0]
-        if not os.path.exists(member):
-            if error_policy == "fail_fast":
-                raise FileNotFoundError(member)
-            collection.missing.append(member)
-            continue
-        started = time.perf_counter()
-        source = TreebankSource(member, error_policy)
-        rows, report = _compute_rows(source, names, exact, threads)
-        report.elapsed = time.perf_counter() - started
-        if output_dir is not None:
-            out_path = os.path.join(output_dir, stem + ".csv")
-            with open(out_path, "w", encoding="utf-8", newline="") as out:
-                out.write(",".join(["sentence_id", "n"] + names) + "\n")
-                for row in rows:
-                    out.write(row + "\n")
-            report.output_path = out_path
-        else:
-            merged_rows.extend(f"{stem},{row}" for row in rows)
-        collection.reports.append((stem, report))
-    if merge_out is not None:
-        with open(merge_out, "w", encoding="utf-8", newline="") as out:
-            out.write(",".join(["treebank", "sentence_id", "n"] + names) + "\n")
-            for row in merged_rows:
-                out.write(row + "\n")
-        for _, rep in collection.reports:
-            rep.output_path = merge_out
+        for stem, member in members:
+            collection.reports.append((stem, process_treebank(
+                member, os.path.join(output_dir, stem + ".csv"), names,
+                error_policy=error_policy, exact=exact, threads=threads)))
+        return collection
+
+    def merged_rows() -> Iterator[str]:
+        for stem, member in members:
+            started = time.perf_counter()
+            report = ProcessingReport(output_path=merge_out)
+            collection.reports.append((stem, report))
+            for row in _rows(TreebankSource(member, error_policy), names, exact,
+                             threads, report):
+                yield f"{stem},{row}"
+            report.elapsed = time.perf_counter() - started
+
+    _write_csv(merge_out, ["treebank", "sentence_id", "n"] + names, merged_rows())
     return collection

@@ -70,6 +70,28 @@ def test_analyze_unknown_feature(tmp_path, capsys):
     assert code == 2 and "registered features" in err
 
 
+def test_analyze_fail_policy_exit_code(tmp_path, capsys):
+    src = tmp_path / "bad.hv"
+    src.write_text("0 1\n0 0 1\n", encoding="utf-8")
+    out = tmp_path / "o.csv"
+    code, _, err = run_cli(
+        ["analyze", str(src), str(out), "--policy", "fail", "--threads", "1"], capsys)
+    assert code == 1 and "MultipleRootsError" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_threads_below_one_is_usage_error(tmp_path, capsys, threads):
+    src = tmp_path / "t.hv"
+    src.write_text("0 1\n", encoding="utf-8")
+    lst = tmp_path / "c.txt"
+    lst.write_text("t.hv\n", encoding="utf-8")
+    for args in (["analyze", str(src), str(tmp_path / "o.csv")],
+                 ["collection", str(lst), "--merge-out", str(tmp_path / "m.csv")]):
+        code, _, err = run_cli(args + ["--threads", threads], capsys)
+        assert code == 2 and "threads must be at least 1" in err
+
+
 def test_generate_exhaustive(capsys):
     code, out, _ = run_cli(
         ["generate", "--kind", "unlabeled-free", "-n", "7", "--exhaustive"],

@@ -89,6 +89,30 @@ def test_centre_and_centroid():
     assert centroid(broom) == frozenset({4})
 
 
+def test_centroid_by_definition_at_every_root():
+    # largest component left by removing each vertex, counted by search
+    def worst(t, v):
+        seen, sizes = {v}, []
+        for start in t.neighbors(v):
+            stack, size = [start], 0
+            seen.add(start)
+            while stack:
+                size += 1
+                for w in t.neighbors(stack.pop()):
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            sizes.append(size)
+        return max(sizes, default=0)
+
+    for n in range(1, 9):
+        for free in exhaustive_trees(TreeKind("unlabeled", "free"), n):
+            worsts = {v: worst(free, v) for v in free.vertices()}
+            expected = frozenset(v for v, w in worsts.items() if w == min(worsts.values()))
+            assert centroid(free) == expected
+            assert all(centroid(free.root_at(r)) == expected for r in free.vertices())
+
+
 def test_tree_shapes():
     path = from_edge_list(5, [(1, 2), (2, 3), (3, 4), (4, 5)]).root_at(1)
     s = tree_shape(path)

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from deplin import process_collection, process_treebank, read_head_vectors
@@ -101,3 +103,93 @@ def test_collection_per_file_and_merged(tmp_path):
     assert lines[0] == "treebank,sentence_id,n,D"
     assert lines[1].startswith("x,1,2,")
     assert lines[2].startswith("y,1,3,") and lines[3].startswith("y,2,2,")
+
+
+# 70 valid sentences, then a blank line, a non-integer token, an invalid tree
+# (two roots) and 70 more: sentence ids jump past the skipped lines, and rows
+# from more than one chunk of 64 are written before and after them
+GAPPED = (["0 1 1 2"] * 70 + ["", "0 x 1", "0 0 1", ""] + ["2 0 2"] * 70)
+
+
+def test_streamed_rows_with_gaps_agree_across_threads(tmp_path):
+    src = tmp_path / "gapped.hv"
+    src.write_text("\n".join(GAPPED) + "\n", encoding="utf-8")
+    outs, skipped = [], []
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}.csv"
+        report = process_treebank(str(src), str(out), ["D", "C"], threads=threads)
+        assert report.processed == 140
+        outs.append(out.read_bytes())
+        skipped.append(report.skipped)
+    assert outs[0] == outs[1]
+    assert skipped[0] == skipped[1] and [line for line, _ in skipped[0]] == [72, 73]
+    lines = outs[0].decode("utf-8").splitlines()
+    assert lines[70] == "70,4,5,1" and lines[71] == "73,3,2,0"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gapped.hv", "t1.csv", "t2.csv"]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_fail_fast_leaves_output_untouched(tmp_path, threads):
+    src = tmp_path / "bad.hv"
+    src.write_text("\n".join(["0 1 1 2"] * 200 + ["0 0 1"]) + "\n", encoding="utf-8")
+    out = tmp_path / "out.csv"
+    out.write_text("previous\n", encoding="utf-8")
+    with pytest.raises(MultipleRootsError):
+        process_treebank(str(src), str(out), ["D"], error_policy="fail_fast",
+                         threads=threads)
+    assert out.read_text(encoding="utf-8") == "previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.hv", "out.csv"]
+
+
+def test_threads_below_one_rejected(tmp_path, treebank_file):
+    lst = tmp_path / "coll.txt"
+    lst.write_text(f"{treebank_file}\n", encoding="utf-8")
+    for threads in (0, -4):
+        with pytest.raises(ValueError, match="threads"):
+            process_treebank(str(treebank_file), str(tmp_path / "o.csv"), threads=threads)
+        with pytest.raises(ValueError, match="threads"):
+            process_collection(str(lst), merge_out=str(tmp_path / "m.csv"), threads=threads)
+    assert not (tmp_path / "o.csv").exists() and not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_merged_collection_counts_per_member(tmp_path, threads):
+    (tmp_path / "a.hv").write_text("0 1\n0 0 1\n\n0 1 2\n", encoding="utf-8")
+    (tmp_path / "b.hv").write_text("x\n0 1\n2 0\n2 2\n", encoding="utf-8")
+    (tmp_path / "c.hv").write_text("0 1 1\n", encoding="utf-8")
+    lst = tmp_path / "coll.txt"
+    lst.write_text("a.hv\nb.hv\nc.hv\n", encoding="utf-8")
+    merged = tmp_path / "merged.csv"
+    coll = process_collection(str(lst), merge_out=str(merged), feature_names=["D"],
+                              threads=threads)
+    counts = [(name, rep.processed, [line for line, _ in rep.skipped])
+              for name, rep in coll.reports]
+    assert counts == [("a", 2, [2]), ("b", 2, [1, 4]), ("c", 1, [])]
+    assert all(rep.output_path == str(merged) for _, rep in coll.reports)
+    assert merged.read_text(encoding="utf-8").splitlines() == [
+        "treebank,sentence_id,n,D", "a,1,2,1", "a,3,3,2", "b,2,2,1", "b,3,2,1", "c,1,3,3"]
+
+
+def test_output_through_symlink_replaces_target(tmp_path, treebank_file):
+    real = tmp_path / "real.csv"
+    real.write_text("previous\n", encoding="utf-8")
+    link = tmp_path / "link.csv"
+    link.symlink_to(real)
+    process_treebank(str(treebank_file), str(link), ["D"])
+    assert link.is_symlink()
+    assert real.read_text(encoding="utf-8").splitlines()[0] == "sentence_id,n,D"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_output_to_pipe_is_streamed(tmp_path, treebank_file):
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # open before the writer
+    try:
+        process_treebank(str(treebank_file), str(fifo), ["D"])
+        got = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    process_treebank(str(treebank_file), str(tmp_path / "file.csv"), ["D"])
+    assert got == (tmp_path / "file.csv").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file.csv", "out.fifo", "sample.hv"]
