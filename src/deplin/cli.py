@@ -23,9 +23,15 @@ def _threads(requested) -> int:
     if requested is not None:
         return requested
     env = os.environ.get("DEPLIN_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        threads = int(env)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"DEPLIN_THREADS must be an integer of at least 1, got {env!r}")
+    return threads
 
 
 def _add_common_analysis_flags(p: argparse.ArgumentParser) -> None:

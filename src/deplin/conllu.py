@@ -24,6 +24,7 @@ from .errors import (
     NonContiguousIdsError,
     TreeValidationError,
 )
+from .treebank import _write_lines
 from .trees import RootedTree
 
 DEFAULT_FUNCTION_WORD_UPOS = frozenset(
@@ -200,7 +201,8 @@ def convert(
         opts = PreprocessOptions()
     started = time.perf_counter()
     report = ConversionReport()
-    with open(output_path, "w", encoding="utf-8", newline="") as out:
+
+    def lines() -> Iterator[str]:
         for first_line, tokens, error in _iter_records(input_path):
             if error is None:
                 try:
@@ -220,8 +222,10 @@ def convert(
             if heads is None:
                 report.filtered += 1
                 continue
-            out.write(" ".join(str(h) for h in heads) + "\n")
             report.converted += 1
+            yield " ".join(str(h) for h in heads)
+
+    _write_lines(output_path, lines())
     report.elapsed = time.perf_counter() - started
     report.output_path = output_path
     return report

@@ -27,11 +27,12 @@ from typing import Iterator, Optional, Union
 
 from .errors import SizeLimitExceededError
 from .isomorphism import canonical_code, free_canonical_code
-from .linarr import DEFAULT_EXHAUSTIVE_BOUND
 from .properties import centre
 from .trees import Arrangement, FreeTree, RootedTree
 
 Tree = Union[FreeTree, RootedTree]
+
+DEFAULT_EXHAUSTIVE_BOUND = 10
 
 
 _LABELINGS = ("labeled", "unlabeled")
@@ -360,7 +361,7 @@ def num_arrangements(t: Tree, constraint: str = "unconstrained") -> int:
         # each vertex is first in prod_v deg(v)! planar arrangements: rooted
         # there, the root orders its deg(r) child blocks and every other
         # vertex v orders itself among its deg(v) - 1 child blocks
-        free = t.to_free() if isinstance(t, RootedTree) else t
+        free = t.to_free()
         prod = 1
         for v in free.vertices():
             prod *= factorial(free.degree(v))
@@ -422,7 +423,7 @@ def exhaustive_arrangements(t: Tree, constraint: str = "unconstrained",
                 yield Arrangement.from_vertex_order(order)
         return gen_projective()
     if constraint == "planar":
-        free = t.to_free() if isinstance(t, RootedTree) else t
+        free = t.to_free()
 
         def gen_planar():
             # planar arrangement <=> projective for the tree rooted at the
@@ -476,7 +477,7 @@ def random_arrangement(t: Tree, constraint: str = "unconstrained",
     if constraint == "planar":
         # planar <=> projective for the tree rooted at the first vertex, and
         # every vertex is first in the same number of planar arrangements
-        free = t.to_free() if isinstance(t, RootedTree) else t
+        free = t.to_free()
         total = num_arrangements(free, "planar")
         first = rng.randrange(total) // (total // free.n) + 1
         return Arrangement.from_vertex_order(_sample_projective_order(

@@ -35,7 +35,7 @@ def canonical_code(t: RootedTree) -> str:
 
 
 def free_canonical_code(t: Tree) -> str:
-    free = t.to_free() if isinstance(t, RootedTree) else t
+    free = t.to_free()
     return min(canonical_code(RootedTree.root_at(free, c)) for c in centre(free))
 
 

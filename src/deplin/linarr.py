@@ -1,10 +1,15 @@
 """Metrics on (tree, linear arrangement) pairs and minimum-D solvers.
 
 D is the sum of dependency distances (edge lengths), C the number of edge
-crossings.  The solvers return minima of D under three regimes:
-unconstrained, planar (no crossings) and projective (planar with an
-uncovered root).  The planar and projective minima are exact; the
-unconstrained one is not yet (see the solver notes below).
+crossings, counted by a Fenwick-tree sweep in O(m log n).  An arrangement is
+planar when C = 0 and projective when it is planar and no edge covers the
+root; only an arrangement with a crossing needs the pairwise test for one
+endpoint crossing.  Flux comes from one left-to-right pass over the gaps.
+
+The solvers return minima of D under three regimes: unconstrained, planar
+(no crossings) and projective (planar with an uncovered root).  The planar
+and projective minima are exact; the unconstrained one is not yet (see the
+solver notes below).
 """
 
 from __future__ import annotations
@@ -12,13 +17,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Optional, Union
 
 from . import properties
-from .errors import NoEdgesError, SizeLimitExceededError
-from .trees import Arrangement, FreeTree, RootedTree, _check_same_size
-
-DEFAULT_EXHAUSTIVE_BOUND = 10
+from .errors import NoEdgesError
+from .trees import Arrangement, FreeTree, RootedTree, _check_same_size, _subtree_sizes
 
 Tree = Union[FreeTree, RootedTree]
 
@@ -72,14 +75,6 @@ def sum_edge_lengths(t: Tree, a: Arrangement) -> int:
     return sum(abs(pos[u] - pos[v]) for u, v in t.edges())
 
 
-def _crossings_brute(edges: list[tuple[int, int]]) -> int:
-    c = 0
-    for (a, b), (x, y) in itertools.combinations(edges, 2):
-        if a < x < b < y or x < a < y < b:
-            c += 1
-    return c
-
-
 def _crossings_sweep(edges: list[tuple[int, int]], n: int) -> int:
     # Fenwick tree over right endpoints of already-opened edges.
     bit = [0] * (n + 1)
@@ -110,44 +105,32 @@ def _crossings_sweep(edges: list[tuple[int, int]], n: int) -> int:
     return c
 
 
-def num_crossings(t: Tree, a: Arrangement, algorithm: str = "sweep") -> int:
+def num_crossings(t: Tree, a: Arrangement) -> int:
     _check_same_size(t, a)
-    edges = _positioned_edges(t, a)
-    if algorithm == "brute_pairs":
-        return _crossings_brute(edges)
-    if algorithm == "sweep":
-        return _crossings_sweep(edges, t.n)
-    raise ValueError(f"unknown crossings algorithm: {algorithm!r}")
+    return _crossings_sweep(_positioned_edges(t, a), t.n)
+
+
+def _one_endpoint_crossing(edges: list[tuple[int, int]]) -> bool:
+    """Whether the edges crossing any one edge share an endpoint, by testing
+    every pair; stops at the first edge whose crossing edges share none."""
+    common: list[Optional[set[int]]] = [None] * len(edges)
+    for (i, (a, b)), (j, (x, y)) in itertools.combinations(enumerate(edges), 2):
+        if a < x < b < y or x < a < y < b:
+            for k, other in ((i, {x, y}), (j, {a, b})):
+                common[k] = other if common[k] is None else common[k] & other
+                if not common[k]:
+                    return False
+    return True
 
 
 def classify_arrangement(t: RootedTree, a: Arrangement) -> ArrangementFlags:
     _check_same_size(t, a)
     edges = _positioned_edges(t, a)
-    crossing_sets: list[list[int]] = [[] for _ in edges]
-    any_crossing = False
-    for i, j in itertools.combinations(range(len(edges)), 2):
-        ai, bi = edges[i]
-        aj, bj = edges[j]
-        if ai < aj < bi < bj or aj < ai < bj < bi:
-            crossing_sets[i].append(j)
-            crossing_sets[j].append(i)
-            any_crossing = True
-    planar = not any_crossing
+    planar = _crossings_sweep(edges, t.n) == 0
     rp = a.position[t.root]
     projective = planar and not any(l < rp < r for l, r in edges)
-    one_ec = True
-    for i, crossers in enumerate(crossing_sets):
-        if len(crossers) < 2:
-            continue
-        common = set(edges[crossers[0]])
-        for j in crossers[1:]:
-            common &= set(edges[j])
-            if not common:
-                one_ec = False
-                break
-        if not one_ec:
-            break
-    return ArrangementFlags(projective=projective, planar=planar, one_endpoint_crossing=one_ec)
+    return ArrangementFlags(projective=projective, planar=planar,
+                            one_endpoint_crossing=planar or _one_endpoint_crossing(edges))
 
 
 def head_initial_ratio(t: RootedTree, a: Arrangement) -> Fraction:
@@ -159,55 +142,48 @@ def head_initial_ratio(t: RootedTree, a: Arrangement) -> Fraction:
     return Fraction(head_first, t.n - 1)
 
 
-def _max_matching_forest(vertices: set[int], edges: list[tuple[int, int]]) -> int:
-    """Maximum matching of a forest, by greedy leaf matching (optimal on forests)."""
-    adj: dict[int, list[int]] = {v: [] for v in vertices}
+def _matching_size(edges: Iterable[tuple[int, int]]) -> int:
+    """Maximum matching of a forest, by leaf peeling: a leaf and its one
+    remaining neighbour are matched when both are free (optimal on forests)."""
+    degree: dict[int, int] = {}
+    others: dict[int, int] = {}  # XOR of each vertex's remaining neighbours
     for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
+        degree[u] = degree.get(u, 0) + 1
+        degree[v] = degree.get(v, 0) + 1
+        others[u] = others.get(u, 0) ^ v
+        others[v] = others.get(v, 0) ^ u
+    leaves = [v for v, d in degree.items() if d == 1]
     matched: set[int] = set()
-    visited: set[int] = set()
-    count = 0
-    for start in vertices:
-        if start in visited:
-            continue
-        # iterative post-order over the component
-        order = []
-        parent = {start: 0}
-        stack = [start]
-        visited.add(start)
-        while stack:
-            x = stack.pop()
-            order.append(x)
-            for y in adj[x]:
-                if y not in visited:
-                    visited.add(y)
-                    parent[y] = x
-                    stack.append(y)
-        for x in reversed(order):
-            p = parent[x]
-            if p and x not in matched and p not in matched:
-                matched.add(x)
-                matched.add(p)
-                count += 1
-    return count
+    for v in leaves:  # grows while it is walked
+        if degree[v] != 1:
+            continue  # its last edge went when its neighbour was peeled
+        u = others[v]
+        degree[v] = 0
+        degree[u] -= 1
+        others[u] ^= v
+        if v not in matched and u not in matched:
+            matched.update((u, v))
+        if degree[u] == 1:
+            leaves.append(u)
+    return len(matched) // 2
 
 
 def flux(t: Tree, a: Arrangement) -> FluxProfile:
     _check_same_size(t, a)
     if t.n < 2:
         raise NoEdgesError("flux undefined on a single vertex")
-    edges = _positioned_edges(t, a)
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(t.n + 1)]
+    for e in _positioned_edges(t, a):
+        incident[e[0]].append(e)
+        incident[e[1]].append(e)
+    spanning: set[tuple[int, int]] = set()
     sizes = []
     weights = []
     for g in range(1, t.n):
-        spanning = [(l, r) for l, r in edges if l <= g < r]
+        # the edges ending at position g close and those starting there open
+        spanning.symmetric_difference_update(incident[g])
         sizes.append(len(spanning))
-        if spanning:
-            verts = {p for e in spanning for p in e}
-            weights.append(_max_matching_forest(verts, spanning))
-        else:
-            weights.append(0)
+        weights.append(_matching_size(spanning))
     return FluxProfile(sizes=tuple(sizes), weights=tuple(weights))
 
 
@@ -232,19 +208,6 @@ def flux(t: Tree, a: Arrangement) -> FluxProfile:
 # (a counterexample with n = 16 is a root joined to three spiders that each
 # have two legs of length 2; the minimum is 25, the planar minimum 26).
 # ---------------------------------------------------------------------------
-
-
-def _subtree_sizes(t: RootedTree) -> tuple[list[int], list[int]]:
-    """A parents-before-children vertex order and every subtree's size."""
-    children = t.children
-    topo = [t.root]
-    for v in topo:
-        topo.extend(children[v])
-    size = [1] * (t.n + 1)
-    parent = t.parent
-    for v in reversed(topo[1:]):
-        size[parent[v]] += size[v]
-    return topo, size
 
 
 def _min_projective(t: RootedTree) -> tuple[int, list[int]]:
@@ -274,67 +237,15 @@ def _min_projective(t: RootedTree) -> tuple[int, list[int]]:
     return value, pos
 
 
-def min_D_projective(t: RootedTree, algorithm: str = "gt_alemany",
-                     max_n: int = DEFAULT_EXHAUSTIVE_BOUND) -> MinArrangementResult:
-    algorithm = algorithm.lower()
-    if algorithm == "exhaustive":
-        return _min_D_exhaustive(t, "projective", max_n)
-    if algorithm != "gt_alemany":
-        raise ValueError(f"unknown projective solver: {algorithm!r}")
+def min_D_projective(t: RootedTree) -> MinArrangementResult:
     value, pos = _min_projective(t)
     return MinArrangementResult(value, Arrangement(pos[1:]))
 
 
-def min_D_planar(t: Tree, algorithm: str = "hs_alemany",
-                 max_n: int = DEFAULT_EXHAUSTIVE_BOUND) -> MinArrangementResult:
-    free = t.to_free() if isinstance(t, RootedTree) else t
-    algorithm = algorithm.lower()
-    if algorithm == "exhaustive":
-        return _min_D_exhaustive(free, "planar", max_n)
-    if algorithm != "hs_alemany":
-        raise ValueError(f"unknown planar solver: {algorithm!r}")
-    value, pos = _min_projective(RootedTree.root_at(free, min(properties.centroid(t))))
+def min_D_planar(t: Tree) -> MinArrangementResult:
+    value, pos = _min_projective(RootedTree.root_at(t.to_free(), min(properties.centroid(t))))
     return MinArrangementResult(value, Arrangement(pos[1:]))
 
 
-def min_D_unconstrained(t: Tree, algorithm: str = "shiloach",
-                        max_n: int = DEFAULT_EXHAUSTIVE_BOUND) -> MinArrangementResult:
-    free = t.to_free() if isinstance(t, RootedTree) else t
-    algorithm = algorithm.lower()
-    if algorithm == "exhaustive":
-        return _min_D_exhaustive(free, "unconstrained", max_n)
-    if algorithm not in ("shiloach", "chung_2"):
-        raise ValueError(f"unknown unconstrained solver: {algorithm!r}")
-    return min_D_planar(free)
-
-
-def _min_D_exhaustive(t: Tree, constraint: str, max_n: int) -> MinArrangementResult:
-    if t.n > max_n:
-        raise SizeLimitExceededError(
-            f"exhaustive search over {t.n}! arrangements exceeds bound n <= {max_n}")
-    if constraint == "projective" and not isinstance(t, RootedTree):
-        raise TypeError("projective constraint requires a RootedTree")
-    edges = list(t.edges())
-    n = t.n
-    best = None
-    best_perm = None
-    for perm in itertools.permutations(range(1, n + 1)):
-        # perm maps position index (0-based) -> vertex
-        pos = [0] * (n + 1)
-        for p, v in enumerate(perm, start=1):
-            pos[v] = p
-        D = sum(abs(pos[u] - pos[v]) for u, v in edges)
-        if best is not None and D >= best:
-            continue
-        if constraint in ("planar", "projective"):
-            pedges = [(pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u])
-                      for u, v in edges]
-            if _crossings_brute(pedges):
-                continue
-            if constraint == "projective":
-                rp = pos[t.root]
-                if any(l < rp < r for l, r in pedges):
-                    continue
-        best = D
-        best_perm = perm
-    return MinArrangementResult(best, Arrangement.from_vertex_order(best_perm))
+def min_D_unconstrained(t: Tree) -> MinArrangementResult:
+    return min_D_planar(t)

@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import KindMismatchError, NoEdgesError, TooSmallError
-from .trees import FreeTree, RootedTree
+from .trees import FreeTree, RootedTree, _subtree_sizes
 
 Tree = Union[FreeTree, RootedTree]
 
@@ -22,13 +22,9 @@ class TreeShapeFlags:
     spider: bool
 
 
-def _as_free(t: Tree) -> FreeTree:
-    return t.to_free() if isinstance(t, RootedTree) else t
-
-
 def num_independent_edge_pairs(t: Tree) -> int:
     """Q: pairs of edges sharing no vertex."""
-    free = _as_free(t)
+    free = t.to_free()
     m = free.n - 1
     q = m * (m - 1) // 2
     for v in free.vertices():
@@ -42,7 +38,7 @@ def degree_moment(t: Tree, m: int, kind: str = "total") -> Fraction:
     if m < 1:
         raise ValueError("moment order must be positive")
     if kind == "total":
-        free = _as_free(t)
+        free = t.to_free()
         return Fraction(sum(free.degree(v) ** m for v in free.vertices()), free.n)
     if kind not in ("in", "out"):
         raise ValueError(f"unknown degree kind: {kind!r}")
@@ -55,7 +51,7 @@ def degree_moment(t: Tree, m: int, kind: str = "total") -> Fraction:
 
 def hubiness(t: Tree) -> Fraction:
     """Second degree moment normalized to 0 on paths and 1 on stars."""
-    free = _as_free(t)
+    free = t.to_free()
     n = free.n
     if n < 4:
         raise TooSmallError("hubiness requires n >= 4 (path and star coincide below)")
@@ -74,7 +70,7 @@ def mean_hierarchical_distance(t: RootedTree) -> Fraction:
 
 def centre(t: Tree) -> frozenset[int]:
     """Vertices of minimum eccentricity; one vertex or two adjacent ones."""
-    free = _as_free(t)
+    free = t.to_free()
     n = free.n
     if n <= 2:
         return frozenset(free.vertices())
@@ -105,19 +101,13 @@ def centroid(t: Tree) -> frozenset[int]:
     adjacent ones.  Only vertices on the path of subtrees with at least n/2
     vertices, which starts at the root, pass the first test."""
     rt = t if isinstance(t, RootedTree) else RootedTree.root_at(t, 1)
-    n, parent, children = rt.n, rt.parent, rt.children
-    topo = [rt.root]
-    for v in topo:
-        topo.extend(children[v])
-    size = [1] * (n + 1)
-    for v in reversed(topo[1:]):
-        size[parent[v]] += size[v]
-    return frozenset(v for v in topo if 2 * size[v] >= n
-                     and all(2 * size[c] <= n for c in children[v]))
+    topo, size = _subtree_sizes(rt)
+    return frozenset(v for v in topo if 2 * size[v] >= rt.n
+                     and all(2 * size[c] <= rt.n for c in rt.children[v]))
 
 
 def tree_shape(t: Tree) -> TreeShapeFlags:
-    free = _as_free(t)
+    free = t.to_free()
     n = free.n
     degrees = {v: free.degree(v) for v in free.vertices()}
     max_deg = max(degrees.values())

@@ -10,6 +10,7 @@ for arrangement-dependent features.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 import time
 from dataclasses import dataclass, field
@@ -146,18 +147,17 @@ def _rows(source: TreebankSource, names: list[str], exact: bool, threads: int,
             yield from pool.imap(row, trees(), chunksize=64)
 
 
-def _write_csv(path: str, header: list[str], rows: Iterable[str]) -> None:
+def _write_lines(path: str, lines: Iterable[str]) -> None:
     """Write beside the file at `path` and move into place, so a failure leaves
-    no partial CSV.  A stream such as a pipe or /dev/stdout is written directly:
+    no partial file.  A stream such as a pipe or /dev/stdout is written directly:
     replacing it would replace the device or link, not write to it."""
     stream = os.path.exists(path) and not os.path.isfile(path)
     target = os.path.realpath(path)
     tmp = path if stream else f"{target}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as out:
-            out.write(",".join(header) + "\n")
-            for row in rows:
-                out.write(row + "\n")
+            for line in lines:
+                out.write(line + "\n")
         if not stream:
             os.replace(tmp, target)
     finally:
@@ -181,8 +181,9 @@ def process_treebank(
     names = _normalized_features(feature_names)
     source = read_head_vectors(input_path, error_policy)
     report = ProcessingReport(output_path=output_path)
-    _write_csv(output_path, ["sentence_id", "n"] + names,
-               _rows(source, names, exact, threads, report))
+    header = ",".join(["sentence_id", "n", *names])
+    _write_lines(output_path, itertools.chain([header],
+                                              _rows(source, names, exact, threads, report)))
     report.elapsed = time.perf_counter() - started
     return report
 
@@ -238,7 +239,8 @@ def process_collection(
                 error_policy=error_policy, exact=exact, threads=threads)))
         return collection
 
-    def merged_rows() -> Iterator[str]:
+    def merged_lines() -> Iterator[str]:
+        yield ",".join(["treebank", "sentence_id", "n", *names])
         for stem, member in members:
             started = time.perf_counter()
             report = ProcessingReport(output_path=merge_out)
@@ -248,5 +250,5 @@ def process_collection(
                 yield f"{stem},{row}"
             report.elapsed = time.perf_counter() - started
 
-    _write_csv(merge_out, ["treebank", "sentence_id", "n"] + names, merged_rows())
+    _write_lines(merge_out, merged_lines())
     return collection

@@ -106,6 +106,9 @@ class FreeTree:
     def root_at(self, r: int) -> "RootedTree":
         return RootedTree.root_at(self, r)
 
+    def to_free(self) -> "FreeTree":
+        return self
+
     def _key(self):
         return (self.n, tuple(tuple(sorted(a)) for a in self._adj))
 
@@ -344,6 +347,19 @@ def root_at(t: FreeTree, r: int) -> RootedTree:
 
 def to_free(t: RootedTree) -> FreeTree:
     return t.to_free()
+
+
+def _subtree_sizes(t: RootedTree) -> tuple[list[int], list[int]]:
+    """A parents-before-children vertex order and every subtree's size."""
+    children = t.children
+    topo = [t.root]
+    for v in topo:
+        topo.extend(children[v])
+    size = [1] * (t.n + 1)
+    parent = t.parent
+    for v in reversed(topo[1:]):
+        size[parent[v]] += size[v]
+    return topo, size
 
 
 def _check_same_size(t, a: Arrangement) -> None:

@@ -2,12 +2,14 @@
 
 Everything here is deliberately simple and slow: exhaustive search over
 permutations, quadratic pair counting, a quadratic side-assignment DP for
-the projective minimum, and an exponential subset DP.  None of it shares
-code with the package under test.
+the projective minimum, an exponential subset DP, and a search for the
+largest set of disjoint edges.  None of it shares code with the package
+under test.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -17,13 +19,46 @@ def edge_lengths_sum(edges, positions):
     return sum(abs(positions[u] - positions[v]) for u, v in edges)
 
 
+def _crosses(e, f):
+    (a1, b1), (a2, b2) = e, f
+    return a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1
+
+
 def crossings_pairs(edges, positions):
-    total = 0
     spans = [tuple(sorted((positions[u], positions[v]))) for u, v in edges]
-    for (a1, b1), (a2, b2) in itertools.combinations(spans, 2):
-        if a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1:
-            total += 1
-    return total
+    return sum(1 for e, f in itertools.combinations(spans, 2) if _crosses(e, f))
+
+
+def is_one_endpoint_crossing(edges, positions):
+    """True iff, for every edge, all the edges crossing it share an endpoint."""
+    spans = [tuple(sorted((positions[u], positions[v]))) for u, v in edges]
+    for e in spans:
+        crossers = [set(f) for f in spans if _crosses(e, f)]
+        if crossers and not set.intersection(*crossers):
+            return False
+    return True
+
+
+def flux_profile(n, edges, positions):
+    """Per-gap flux: for each gap g between positions g and g+1, the number
+    of edges spanning it and the size of the largest vertex-disjoint subset
+    of those edges, found by search over taking or leaving each edge."""
+    spans = [tuple(sorted((positions[u], positions[v]))) for u, v in edges]
+
+    @functools.lru_cache(maxsize=None)
+    def most_disjoint(rest):
+        if not rest:
+            return 0
+        (a, b), others = rest[0], rest[1:]
+        return max(most_disjoint(others),
+                   1 + most_disjoint(tuple(e for e in others if a not in e and b not in e)))
+
+    sizes, weights = [], []
+    for g in range(1, n):
+        spanning = tuple(e for e in spans if e[0] <= g < e[1])
+        sizes.append(len(spanning))
+        weights.append(most_disjoint(spanning))
+    return tuple(sizes), tuple(weights)
 
 
 def _subtree_intervals_contiguous(n, parent, positions):

@@ -81,7 +81,7 @@ def test_analyze_fail_policy_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("threads", ["0", "-4"])
-def test_threads_below_one_is_usage_error(tmp_path, capsys, threads):
+def test_threads_below_one_is_usage_error(tmp_path, capsys, monkeypatch, threads):
     src = tmp_path / "t.hv"
     src.write_text("0 1\n", encoding="utf-8")
     lst = tmp_path / "c.txt"
@@ -90,6 +90,10 @@ def test_threads_below_one_is_usage_error(tmp_path, capsys, threads):
                  ["collection", str(lst), "--merge-out", str(tmp_path / "m.csv")]):
         code, _, err = run_cli(args + ["--threads", threads], capsys)
         assert code == 2 and "threads must be at least 1" in err
+        for env in (threads, "two"):
+            monkeypatch.setenv("DEPLIN_THREADS", env)
+            code, _, err = run_cli(args, capsys)
+            assert code == 2 and "DEPLIN_THREADS" in err
 
 
 def test_generate_exhaustive(capsys):

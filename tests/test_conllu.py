@@ -119,9 +119,14 @@ def test_convert_end_to_end(tmp_path):
                      PreprocessOptions(remove_punct=True, min_len=2))
     assert report.converted == 1 and report.filtered == 1
 
+    # a failing conversion leaves the previous output as it was, and no temporary file
+    out3 = tmp_path / "out3.hv"
+    out3.write_bytes(b"old content\n")
     with pytest.raises(HeadOutOfRangeError):
-        convert(str(src), str(tmp_path / "out3.hv"),
-                PreprocessOptions(), error_policy="fail_fast")
+        convert(str(src), str(out3), PreprocessOptions(), error_policy="fail_fast")
+    assert out3.read_bytes() == b"old content\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "in.conllu", "out.hv", "out2.hv", "out3.hv"]
 
 
 def test_default_function_word_set():

@@ -51,27 +51,45 @@ def test_crossings_algorithms_agree_random():
         n = rng.randint(2, 50)
         t = random_tree(kind, n, rng)
         a = Arrangement.from_vertex_order(rng.sample(range(1, n + 1), n))
-        brute = num_crossings(t, a, algorithm="brute_pairs")
-        sweep = num_crossings(t, a, algorithm="sweep")
-        assert brute == sweep
-        assert brute == oracles.crossings_pairs(list(t.edges()), _positions(t, a))
+        assert num_crossings(t, a) == oracles.crossings_pairs(list(t.edges()), _positions(t, a))
+
+
+def _check_flux_and_flags(t, a):
+    edges, pos = list(t.edges()), _positions(t, a)
+    f = flux(t, a)
+    assert (f.sizes, f.weights) == oracles.flux_profile(t.n, edges, pos)
+    flags = classify_arrangement(t, a)
+    assert flags.planar == (oracles.crossings_pairs(edges, pos) == 0)
+    assert flags.projective == oracles.is_projective(t.n, [0, *t.to_head_vector()], pos)
+    assert flags.one_endpoint_crossing == oracles.is_one_endpoint_crossing(edges, pos)
+    return flags
 
 
 def test_flag_implications_exhaustive():
     for n in range(2, 6):
         for t in exhaustive_trees(TreeKind.parse("labeled-rooted"), n):
             for perm in itertools.permutations(range(1, n + 1)):
-                a = Arrangement.from_vertex_order(list(perm))
-                flags = classify_arrangement(t, a)
-                c = num_crossings(t, a)
-                assert flags.planar == (c == 0)
+                flags = _check_flux_and_flags(t, Arrangement.from_vertex_order(perm))
                 if flags.projective:
                     assert flags.planar
                 if flags.planar:
                     assert flags.one_endpoint_crossing
-                parent = [0] + list(t.to_head_vector())
-                assert flags.projective == oracles.is_projective(
-                    n, parent, _positions(t, a))
+
+
+def test_flux_and_flags_match_oracles_n6():
+    # Relabeling each vertex by its position maps (tree, order) to (tree', identity),
+    # so the identity order of every labeled rooted tree covers every pair with n = 6.
+    for t in exhaustive_trees(TreeKind.parse("labeled-rooted"), 6):
+        _check_flux_and_flags(t, Arrangement.identity(6))
+
+
+def test_flux_and_flags_match_oracles_random():
+    rng = random.Random(1000)
+    kind = TreeKind.parse("labeled-rooted")
+    for _ in range(3000):
+        n = rng.randint(2, 40)
+        t = random_tree(kind, n, rng)
+        _check_flux_and_flags(t, Arrangement.from_vertex_order(rng.sample(range(1, n + 1), n)))
 
 
 def test_head_initial_ratio():
@@ -183,11 +201,9 @@ def test_min_solvers_at_scale(solver, shape):
 def test_min_unconstrained_matches_subset_dp():
     for n in range(2, 10):
         for t in exhaustive_trees(TreeKind.parse("unlabeled-free"), n):
-            expected = oracles.min_D_subset_dp(n, list(t.edges()))
-            for algorithm in ("shiloach", "chung_2"):
-                res = min_D_unconstrained(t, algorithm=algorithm)
-                assert res.value == expected
-                assert sum_edge_lengths(t, res.arrangement) == res.value
+            res = min_D_unconstrained(t)
+            assert res.value == oracles.min_D_subset_dp(n, list(t.edges()))
+            assert sum_edge_lengths(t, res.arrangement) == res.value
 
 
 def test_min_unconstrained_random_larger():
@@ -207,27 +223,6 @@ def test_min_star_and_path_closed_forms():
     p = from_head_vector("0 1 2 3 4 5")
     assert min_D_unconstrained(p.to_free()).value == 5
     assert min_D_projective(p).value == 5
-
-
-def test_solver_algorithm_names():
-    t = from_head_vector("0 1 1 2 2 3")
-    free = t.to_free()
-    ref = min_D_projective(t).value
-    assert min_D_projective(t, algorithm="GT_Alemany").value == ref
-    assert min_D_projective(t, algorithm="exhaustive").value == ref
-    ref = min_D_planar(free).value
-    assert min_D_planar(free, algorithm="HS_Alemany").value == ref
-    assert min_D_planar(free, algorithm="exhaustive").value == ref
-    ref = min_D_unconstrained(free).value
-    assert min_D_unconstrained(free, algorithm="Shiloach").value == ref
-    assert min_D_unconstrained(free, algorithm="Chung_2").value == ref
-    assert min_D_unconstrained(free, algorithm="exhaustive").value == ref
-    with pytest.raises(ValueError):
-        min_D_unconstrained(free, algorithm="nope")
-    from deplin.errors import SizeLimitExceededError
-    big = from_head_vector("0 " + " ".join(str(i) for i in range(1, 12)))
-    with pytest.raises(SizeLimitExceededError):
-        min_D_unconstrained(big.to_free(), algorithm="exhaustive")
 
 
 def test_solver_ordering():
