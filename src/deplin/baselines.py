@@ -100,6 +100,8 @@ def estimate_over_arrangements(
         mean, var, count = _exact_moments(values)
         return EstimationResult("exact", mean, var, None, count, None)
     if mode == "monte_carlo":
+        if samples < 1:
+            raise ValueError(f"samples must be at least 1, got {samples}")
         seed = _pick_seed(seed)
         rng = random.Random(seed)
         values = [float(feat.func(features.FeatureContext(
@@ -133,6 +135,8 @@ def estimate_over_trees(
         mean, var, count = _exact_moments(values)
         return EstimationResult("exact", mean, var, None, count, None)
     if mode == "monte_carlo":
+        if samples < 1:
+            raise ValueError(f"samples must be at least 1, got {samples}")
         seed = _pick_seed(seed)
         rng = random.Random(seed)
         values = [float(feat.func(features.FeatureContext(

@@ -163,6 +163,8 @@ def _cmd_generate(args) -> int:
         for t in generate.exhaustive_trees(kind, args.n):
             _emit_tree(t)
         return 0
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     rng = random.Random(args.seed)
     for _ in range(args.count):
         _emit_tree(generate.random_tree(kind, args.n, rng))

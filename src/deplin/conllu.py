@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .errors import (
+    CycleError,
     HeadOutOfRangeError,
     MalformedLineError,
     NonContiguousIdsError,
@@ -163,11 +164,13 @@ def preprocess(tokens: list[ConlluToken],
             h = head_of[h]
             steps += 1
             if steps > len(tokens):  # head cycle among removed tokens
-                raise TreeValidationError("cycle in head chain")
+                raise CycleError("cycle in head chain")
         return h
 
     eff = {t.id: effective_head(t) for t in kept}
     orphans = [t.id for t in kept if eff[t.id] == 0]
+    if not orphans:
+        raise CycleError("no retained token reaches the root: cycle in head chain")
     new_root = min(orphans)  # leftmost retained dependent is promoted
     renumber = {t.id: i for i, t in enumerate(kept, start=1)}
     heads = []

@@ -2,32 +2,34 @@
 
 Each feature is identified by a stable string key used both in CSV headers
 and on the command line.  Features evaluate against a (tree, arrangement)
-context that caches shared intermediate results, so requesting many features
-for the same sentence does not recompute crossings or flux repeatedly.
-Features that are undefined for a sentence (e.g. hubiness below n = 4)
-evaluate to None.
+context that computes each shared per-sentence intermediate at most once:
+the positioned edge list, the crossing count C, the arrangement flags, the
+flux profile and the tree-shape flags.  One crossing sweep over one edge
+list thus serves C, projective, planar and one_ec, and the same edge list
+serves the flux features.  Features that are undefined for a sentence
+(e.g. hubiness below n = 4) evaluate to None.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 from . import linarr, properties
 from .errors import UnknownMetricError
-from .trees import Arrangement, FreeTree, RootedTree
+from .trees import Arrangement, FreeTree, RootedTree, _check_same_size
 
 Tree = Union[FreeTree, RootedTree]
 
 
 class FeatureContext:
-    """Lazy cache of per-sentence intermediates."""
+    """Lazy per-sentence intermediates, each computed at most once."""
 
     def __init__(self, tree: Tree, arrangement: Optional[Arrangement] = None):
         self.tree = tree
         self.arrangement = arrangement
-        self._cache: dict[str, object] = {}
 
     @property
     def rooted(self) -> RootedTree:
@@ -35,24 +37,28 @@ class FeatureContext:
             raise TypeError("feature requires a rooted tree")
         return self.tree
 
-    @property
+    @cached_property
+    def edges(self) -> list[tuple[int, int]]:
+        _check_same_size(self.tree, self.arrangement)
+        return linarr._positioned_edges(self.tree, self.arrangement)
+
+    @cached_property
+    def C(self) -> int:
+        return linarr._crossings_sweep(self.edges, self.tree.n)
+
+    @cached_property
     def flags(self) -> linarr.ArrangementFlags:
-        if "flags" not in self._cache:
-            self._cache["flags"] = linarr.classify_arrangement(self.rooted, self.arrangement)
-        return self._cache["flags"]
+        root = self.rooted.root
+        # the edges come first: they check the arrangement's size
+        return linarr._classify(self.edges, self.C, self.arrangement.position[root])
 
-    @property
-    def flux(self) -> Optional[linarr.FluxProfile]:
-        if "flux" not in self._cache:
-            self._cache["flux"] = (
-                linarr.flux(self.tree, self.arrangement) if self.tree.n >= 2 else None)
-        return self._cache["flux"]
+    @cached_property
+    def flux(self) -> linarr.FluxProfile:
+        return linarr._flux(self.edges, self.tree.n)
 
-    @property
+    @cached_property
     def shape(self) -> properties.TreeShapeFlags:
-        if "shape" not in self._cache:
-            self._cache["shape"] = properties.tree_shape(self.tree)
-        return self._cache["shape"]
+        return properties.tree_shape(self.tree)
 
 
 @dataclass(frozen=True)
@@ -78,8 +84,7 @@ def _guard_edges(f):
 _register("n", lambda ctx: ctx.tree.n)
 _register("D", lambda ctx: linarr.sum_edge_lengths(ctx.tree, ctx.arrangement),
           order_dependent=True)
-_register("C", lambda ctx: linarr.num_crossings(ctx.tree, ctx.arrangement),
-          order_dependent=True)
+_register("C", lambda ctx: ctx.C, order_dependent=True)
 _register("projective", lambda ctx: int(ctx.flags.projective),
           order_dependent=True, requires_rooted=True)
 _register("planar", lambda ctx: int(ctx.flags.planar),

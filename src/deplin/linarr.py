@@ -123,14 +123,18 @@ def _one_endpoint_crossing(edges: list[tuple[int, int]]) -> bool:
     return True
 
 
+def _classify(edges: list[tuple[int, int]], crossings: int,
+              root_position: int) -> ArrangementFlags:
+    planar = crossings == 0
+    projective = planar and not any(l < root_position < r for l, r in edges)
+    return ArrangementFlags(projective=projective, planar=planar,
+                            one_endpoint_crossing=planar or _one_endpoint_crossing(edges))
+
+
 def classify_arrangement(t: RootedTree, a: Arrangement) -> ArrangementFlags:
     _check_same_size(t, a)
     edges = _positioned_edges(t, a)
-    planar = _crossings_sweep(edges, t.n) == 0
-    rp = a.position[t.root]
-    projective = planar and not any(l < rp < r for l, r in edges)
-    return ArrangementFlags(projective=projective, planar=planar,
-                            one_endpoint_crossing=planar or _one_endpoint_crossing(edges))
+    return _classify(edges, _crossings_sweep(edges, t.n), a.position[t.root])
 
 
 def head_initial_ratio(t: RootedTree, a: Arrangement) -> Fraction:
@@ -168,23 +172,27 @@ def _matching_size(edges: Iterable[tuple[int, int]]) -> int:
     return len(matched) // 2
 
 
-def flux(t: Tree, a: Arrangement) -> FluxProfile:
-    _check_same_size(t, a)
-    if t.n < 2:
-        raise NoEdgesError("flux undefined on a single vertex")
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(t.n + 1)]
-    for e in _positioned_edges(t, a):
+def _flux(edges: list[tuple[int, int]], n: int) -> FluxProfile:
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    for e in edges:
         incident[e[0]].append(e)
         incident[e[1]].append(e)
     spanning: set[tuple[int, int]] = set()
     sizes = []
     weights = []
-    for g in range(1, t.n):
+    for g in range(1, n):
         # the edges ending at position g close and those starting there open
         spanning.symmetric_difference_update(incident[g])
         sizes.append(len(spanning))
         weights.append(_matching_size(spanning))
     return FluxProfile(sizes=tuple(sizes), weights=tuple(weights))
+
+
+def flux(t: Tree, a: Arrangement) -> FluxProfile:
+    _check_same_size(t, a)
+    if t.n < 2:
+        raise NoEdgesError("flux undefined on a single vertex")
+    return _flux(_positioned_edges(t, a), t.n)
 
 
 # ---------------------------------------------------------------------------

@@ -50,15 +50,16 @@ def degree_moment(t: Tree, m: int, kind: str = "total") -> Fraction:
 
 
 def hubiness(t: Tree) -> Fraction:
-    """Second degree moment normalized to 0 on paths and 1 on stars."""
+    """Second degree moment normalized to 0 on paths and 1 on stars.
+
+    The degree sum of squares is 4n - 6 on a path and n(n - 1) on a star."""
     free = t.to_free()
     n = free.n
     if n < 4:
         raise TooSmallError("hubiness requires n >= 4 (path and star coincide below)")
-    k2 = degree_moment(free, 2)
-    k2_path = Fraction(4 * n - 6, n)
-    k2_star = Fraction(n - 1)
-    return (k2 - k2_path) / (k2_star - k2_path)
+    path = 4 * n - 6
+    return Fraction(sum(free.degree(v) ** 2 for v in free.vertices()) - path,
+                    n * (n - 1) - path)
 
 
 def mean_hierarchical_distance(t: RootedTree) -> Fraction:
@@ -107,53 +108,26 @@ def centroid(t: Tree) -> frozenset[int]:
 
 
 def tree_shape(t: Tree) -> TreeShapeFlags:
+    """Shape flags; all but caterpillar are read off the degree sequence."""
     free = t.to_free()
     n = free.n
-    degrees = {v: free.degree(v) for v in free.vertices()}
-    max_deg = max(degrees.values())
-    linear = max_deg <= 2
-    star = max_deg == n - 1 or n <= 2
-    spider = sum(1 for d in degrees.values() if d >= 3) <= 1
-
-    # quasistar: a star with exactly one edge subdivided (n >= 4)
-    quasistar = False
-    if n >= 4:
-        hubs = [v for v, d in degrees.items() if d == n - 2]
-        for h in hubs:
-            mids = [w for w in free.neighbors(h) if degrees[w] == 2]
-            others_leaves = all(degrees[w] == 1 for w in free.neighbors(h) if degrees[w] != 2)
-            if len(mids) == 1 and others_leaves:
-                far = [x for x in free.neighbors(mids[0]) if x != h]
-                if degrees[far[0]] == 1:
-                    quasistar = True
-                    break
-
-    # bistar: two adjacent vertices cover all edges (vacuous for n <= 2)
-    if n <= 2:
-        bistar = True
-    else:
-        all_edges = list(free.edges())
-        bistar = any(
-            all(u in (a, b) or v in (a, b) for a, b in all_edges)
-            for u, v in all_edges
-        )
-
-    # caterpillar: removing all leaves yields a path (or nothing)
-    internal = [v for v, d in degrees.items() if d >= 2]
-    if not internal:
-        caterpillar = True
-    else:
-        inner_deg_ok = True
-        iset = set(internal)
-        for v in internal:
-            d = sum(1 for w in free.neighbors(v) if w in iset)
-            if d > 2:
-                inner_deg_ok = False
-                break
-        caterpillar = inner_deg_ok  # induced subgraph of a tree is a forest; connected here
-
-    return TreeShapeFlags(linear=linear, star=star, quasistar=quasistar,
-                          bistar=bistar, caterpillar=caterpillar, spider=spider)
+    degree = [free.degree(v) for v in free.vertices()]
+    max_deg = max(degree)
+    # quasistar: a star with one edge subdivided.  Degrees sum to 2n - 2, so
+    # a largest degree of n - 2 forces (n-2, 2, 1, ..., 1), the degree
+    # sequence of that tree and of no other.
+    # bistar: two adjacent vertices cover all edges; every other vertex is
+    # then a leaf.
+    # caterpillar: removing all leaves yields a path (or nothing).
+    internal = [v for v, d in enumerate(degree, start=1) if d >= 2]
+    return TreeShapeFlags(
+        linear=max_deg <= 2,
+        star=max_deg == n - 1 or n <= 2,
+        quasistar=n >= 4 and max_deg == n - 2,
+        bistar=len(internal) <= 2,
+        caterpillar=all(sum(1 for w in free.neighbors(v) if free.degree(w) >= 2) <= 2
+                        for v in internal),
+        spider=sum(1 for d in degree if d >= 3) <= 1)
 
 
 def expected_D_unconstrained(t: Tree) -> Fraction:

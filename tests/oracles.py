@@ -248,6 +248,61 @@ def mean_over_permutations(n, edges, metric):
     return total / count
 
 
+def _distances_from(adj, source):
+    dist = {source: 0}
+    frontier = [source]
+    for u in frontier:  # grows while it is walked
+        for w in adj[u]:
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                frontier.append(w)
+    return dist
+
+
+def _is_path(adj):
+    """A graph given by its adjacency sets is a path (or empty) iff it is
+    connected and two of its vertices are |V| - 1 edges apart."""
+    if not adj:
+        return True
+    all_dist = [_distances_from(adj, v) for v in adj]
+    return (len(all_dist[0]) == len(adj)
+            and max(max(d.values()) for d in all_dist) == len(adj) - 1)
+
+
+def _is_star(adj):
+    """One vertex is adjacent to all the others."""
+    return any(adj[v] == adj.keys() - {v} for v in adj)
+
+
+def tree_shape_by_definition(n, edges):
+    """The six shape flags of a free tree, each by its definition."""
+    adj = {v: set() for v in range(1, n + 1)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    leaves = {v for v in adj if len(adj[v]) <= 1}
+
+    def without(removed):
+        return {v: adj[v] - removed for v in adj if v not in removed}
+
+    def quasistar_at(leaf):
+        # removing the added leaf leaves a star with at least two edges whose
+        # centre is not the subdivision vertex
+        (mid,) = adj[leaf]
+        rest = without({leaf})
+        return len(rest) >= 3 and any(
+            rest[c] == rest.keys() - {c} for c in rest if c != mid)
+
+    return {
+        "linear": _is_path(adj),
+        "star": _is_star(adj),
+        "quasistar": n >= 4 and any(quasistar_at(v) for v in leaves),
+        "bistar": n == 1 or any(all({a, b} & {u, v} for a, b in edges) for u, v in edges),
+        "caterpillar": _is_path(without(leaves)),
+        "spider": sum(1 for v in adj if len(adj[v]) >= 3) <= 1,
+    }
+
+
 def all_labeled_free_trees(n):
     """Edge lists of all labeled free trees on n vertices (via all subsets)."""
     if n == 1:

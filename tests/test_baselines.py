@@ -64,6 +64,16 @@ def test_monte_carlo_reproducible_and_close():
         math.sqrt(a.variance / a.samples))
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_monte_carlo_needs_a_sample(samples):
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        estimate_over_arrangements(from_head_vector("0 1 2 2"), "D",
+                                   mode="monte_carlo", samples=samples, seed=1)
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        estimate_over_trees(TreeKind.parse("labeled-free"), 5, "k2",
+                            mode="monte_carlo", samples=samples, seed=1)
+
+
 def test_unknown_metric():
     t = from_head_vector("0 1")
     with pytest.raises(UnknownMetricError):

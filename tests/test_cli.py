@@ -161,6 +161,17 @@ def test_baseline_estimate(capsys):
     assert code == 0 and "seed=9" in out
 
 
+def test_samples_and_count_below_one_are_usage_errors(capsys):
+    code, out, err = run_cli(
+        ["baseline", "--tree", "0 1 2 2", "--what", "estimate", "--metric", "D",
+         "--mode", "monte_carlo", "--samples", "0"], capsys)
+    assert code == 2 and out == "" and "samples must be at least 1" in err
+    for count in ("0", "-2"):
+        code, out, err = run_cli(
+            ["generate", "--kind", "labeled-rooted", "-n", "4", "--count", count], capsys)
+        assert code == 2 and out == "" and "--count must be at least 1" in err
+
+
 def test_isomorphic_exit_codes(tmp_path, capsys):
     a = tmp_path / "a.hv"
     b = tmp_path / "b.hv"

@@ -7,7 +7,12 @@ from deplin import (
     preprocess,
 )
 from deplin.conllu import ConlluToken, DEFAULT_FUNCTION_WORD_UPOS
-from deplin.errors import HeadOutOfRangeError, MalformedLineError, NonContiguousIdsError
+from deplin.errors import (
+    CycleError,
+    HeadOutOfRangeError,
+    MalformedLineError,
+    NonContiguousIdsError,
+)
 
 
 def _tok(i, head, upos="NOUN", form="w"):
@@ -127,6 +132,27 @@ def test_convert_end_to_end(tmp_path):
     assert out3.read_bytes() == b"old content\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "in.conllu", "out.hv", "out2.hv", "out3.hv"]
+
+
+def test_no_reachable_root_is_a_cycle_error(tmp_path):
+    rootless = [_tok(1, 2), _tok(2, 1)]
+    removed_root = [_tok(1, 0, upos="PUNCT"), _tok(2, 3), _tok(3, 2)]
+    with pytest.raises(CycleError):
+        preprocess(rootless, PreprocessOptions())
+    with pytest.raises(CycleError):
+        preprocess(removed_root, PreprocessOptions(remove_punct=True))
+
+    src = tmp_path / "in.conllu"
+    src.write_text(
+        _sentence(_u(1, "a", "NOUN", 2), _u(2, "b", "NOUN", 1))  # lines 1-3
+        + _sentence(_u(1, ".", "PUNCT", 0), _u(2, "a", "NOUN", 3),
+                    _u(3, "b", "NOUN", 2))  # lines 4-7
+        + _sentence(_u(1, "x", "NOUN", 0)), encoding="utf-8")
+    out = tmp_path / "out.hv"
+    report = convert(str(src), str(out), PreprocessOptions(remove_punct=True))
+    assert out.read_text(encoding="utf-8") == "0\n"
+    assert report.converted == 1
+    assert [line_no for line_no, _ in report.errored] == [1, 4]
 
 
 def test_default_function_word_set():

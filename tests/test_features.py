@@ -1,0 +1,70 @@
+import random
+from fractions import Fraction
+
+import pytest
+
+from deplin import (
+    Arrangement,
+    classify_arrangement,
+    flux,
+    from_head_vector,
+    num_crossings,
+    random_arrangement,
+    random_tree,
+)
+from deplin import features, linarr
+from deplin.errors import SizeMismatchError
+from deplin.generate import TreeKind
+
+from conftest import FIG1_HV
+
+
+# mostly uniformly random orders, which nearly always cross
+_CONSTRAINTS = ("unconstrained", "unconstrained", "planar", "projective")
+
+
+def _value(name, ctx):
+    return features.REGISTRY[name].func(ctx)
+
+
+def test_context_matches_public_functions():
+    rng = random.Random(66)
+    kind = TreeKind.parse("labeled-rooted")
+    for i in range(1500):
+        n = rng.randint(2, 40)
+        t = random_tree(kind, n, rng)
+        a = random_arrangement(t, _CONSTRAINTS[i % 4], rng)
+        ctx = features.FeatureContext(t, a)
+        assert ctx.C == _value("C", ctx) == num_crossings(t, a)
+        flags = classify_arrangement(t, a)
+        assert ctx.flags == flags
+        assert [_value(name, ctx) for name in ("projective", "planar", "one_ec")] == [
+            flags.projective, flags.planar, flags.one_endpoint_crossing]
+        f = flux(t, a)
+        assert ctx.flux == f
+        assert [_value(name, ctx) for name in ("flux_max_size", "flux_max_weight",
+                                               "flux_mean_size")] == [
+            f.max_size, f.max_weight, Fraction(f.total_size, n - 1)]
+
+
+def test_one_sweep_and_one_edge_list_per_context(monkeypatch):
+    calls = {"_crossings_sweep": 0, "_positioned_edges": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(linarr, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(linarr, name, counted)
+    t = from_head_vector(FIG1_HV)  # two crossings in identity order
+    ctx = features.FeatureContext(t, Arrangement.identity(t.n))
+    for feat in features.resolve(features.default_features()):
+        feat.func(ctx)
+    assert calls == {"_crossings_sweep": 1, "_positioned_edges": 1}
+
+
+@pytest.mark.parametrize("size", [2, 12])
+def test_wrong_size_arrangement_raises_through_every_order_dependent_feature(size):
+    t = from_head_vector(FIG1_HV)  # n = 9, rooted at vertex 3
+    for feat in features.REGISTRY.values():
+        if feat.order_dependent:
+            with pytest.raises(SizeMismatchError):
+                feat.func(features.FeatureContext(t, Arrangement.identity(size)))

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -132,6 +133,28 @@ def test_tree_shapes():
     noncat = from_edge_list(7, [(1, 2), (2, 3), (2, 4), (4, 5), (4, 6), (6, 7)])
     # vertex 2 and 4 internal with induced degree 2 each -> still a caterpillar
     assert tree_shape(noncat).caterpillar
+
+
+def _check_shape_and_hubiness(t):
+    assert asdict(tree_shape(t)) == oracles.tree_shape_by_definition(t.n, list(t.edges()))
+    n = t.n
+    if n >= 4:
+        k2_path = degree_moment(from_edge_list(n, [(v, v + 1) for v in range(1, n)]), 2)
+        k2_star = degree_moment(from_edge_list(n, [(1, v) for v in range(2, n + 1)]), 2)
+        assert hubiness(t) == (degree_moment(t, 2) - k2_path) / (k2_star - k2_path)
+
+
+def test_shape_and_hubiness_by_definition_exhaustive():
+    for n in range(1, 12):
+        for t in exhaustive_trees(TreeKind("unlabeled", "free"), n):
+            _check_shape_and_hubiness(t)
+
+
+def test_shape_and_hubiness_by_definition_random():
+    rng = random.Random(6)
+    for kind in ("labeled-free", "labeled-rooted"):
+        for _ in range(300):
+            _check_shape_and_hubiness(random_tree(TreeKind.parse(kind), rng.randint(1, 80), rng))
 
 
 def test_expected_values_vs_enumeration():
