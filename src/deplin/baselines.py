@@ -42,13 +42,18 @@ class EstimationResult:
     seed: Optional[int]  # monte_carlo only
 
 
+def _defined(values):
+    for x in values:
+        if x is None:
+            raise ValueError("metric undefined on an ensemble member")
+        yield x
+
+
 def _exact_moments(values) -> tuple[Fraction, Fraction, int]:
     total = Fraction(0)
     total_sq = Fraction(0)
     count = 0
-    for x in values:
-        if x is None:
-            raise ValueError("metric undefined on an ensemble member")
+    for x in _defined(values):
         x = Fraction(x)
         total += x
         total_sq += x * x
@@ -57,7 +62,8 @@ def _exact_moments(values) -> tuple[Fraction, Fraction, int]:
     return mean, total_sq / count - mean * mean, count
 
 
-def _mc_result(values: list[float], seed: int) -> EstimationResult:
+def _mc_result(values, seed: int) -> EstimationResult:
+    values = [float(x) for x in _defined(values)]
     k = len(values)
     mean = math.fsum(values) / k
     var = math.fsum((x - mean) ** 2 for x in values) / (k - 1) if k > 1 else 0.0
@@ -104,8 +110,8 @@ def estimate_over_arrangements(
             raise ValueError(f"samples must be at least 1, got {samples}")
         seed = _pick_seed(seed)
         rng = random.Random(seed)
-        values = [float(feat.func(features.FeatureContext(
-            t, random_arrangement(t, constraint, rng)))) for _ in range(samples)]
+        values = (feat.func(features.FeatureContext(
+            t, random_arrangement(t, constraint, rng))) for _ in range(samples))
         return _mc_result(values, seed)
     raise ValueError(f"unknown mode: {mode!r}")
 
@@ -139,7 +145,7 @@ def estimate_over_trees(
             raise ValueError(f"samples must be at least 1, got {samples}")
         seed = _pick_seed(seed)
         rng = random.Random(seed)
-        values = [float(feat.func(features.FeatureContext(
-            random_tree(kind, n, rng)))) for _ in range(samples)]
+        values = (feat.func(features.FeatureContext(
+            random_tree(kind, n, rng))) for _ in range(samples))
         return _mc_result(values, seed)
     raise ValueError(f"unknown mode: {mode!r}")

@@ -6,7 +6,7 @@ context that computes each shared per-sentence intermediate at most once:
 the positioned edge list, the crossing count C, the arrangement flags, the
 flux profile and the tree-shape flags.  One crossing sweep over one edge
 list thus serves C, projective, planar and one_ec, and the same edge list
-serves the flux features.  Features that are undefined for a sentence
+serves D and the flux features.  Features that are undefined for a sentence
 (e.g. hubiness below n = 4) evaluate to None.
 """
 
@@ -82,8 +82,7 @@ def _guard_edges(f):
 
 
 _register("n", lambda ctx: ctx.tree.n)
-_register("D", lambda ctx: linarr.sum_edge_lengths(ctx.tree, ctx.arrangement),
-          order_dependent=True)
+_register("D", lambda ctx: sum(r - l for l, r in ctx.edges), order_dependent=True)
 _register("C", lambda ctx: ctx.C, order_dependent=True)
 _register("projective", lambda ctx: int(ctx.flags.projective),
           order_dependent=True, requires_rooted=True)

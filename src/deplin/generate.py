@@ -1,11 +1,14 @@
 """Exhaustive and uniformly random generation of trees and arrangements.
 
 Tree kinds combine labeling (labeled/unlabeled) with rooting (free/rooted).
-Labeled generation is driven by Prüfer sequences; unlabeled rooted trees use
-canonical level sequences (exhaustive) and the counting-based recursive
-sampler (random); unlabeled free trees are derived from the rooted machinery
-through centre/centroid canonicalization.  All counting uses Python's
-unbounded integers, so no size overflows.
+Labeled generation is driven by Prüfer sequences.  Unlabeled trees are level
+sequences, enumerated canonically and drawn by one iterative counting sampler
+(RANRUT, Nijenhuis & Wilf 1978).  A free one is rooted at its centroid (Wilf
+1981): either every root subtree has fewer than n/2 vertices, enumerated by
+filtering the level sequences and drawn from counts of such rooted trees, or
+(even n) two n/2-vertex halves are joined at their roots, enumerated as every
+pair i <= j of half sequences and drawn as an unordered pair.  All counting
+uses Python's unbounded integers, so no size overflows.
 
 Arrangement counts are closed forms: n! unconstrained, the product of
 (children(v) + 1)! projective, and n times the product of deg(v)! planar,
@@ -26,8 +29,6 @@ from math import factorial
 from typing import Iterator, Optional, Union
 
 from .errors import SizeLimitExceededError
-from .isomorphism import canonical_code, free_canonical_code
-from .properties import centre
 from .trees import Arrangement, FreeTree, RootedTree
 
 Tree = Union[FreeTree, RootedTree]
@@ -96,6 +97,24 @@ def _unlabeled_free_count(n: int) -> int:
     return total // 2
 
 
+_centroid_tables: dict[int, list[int]] = {}  # n -> _centroid_counts(n)
+
+
+def _centroid_counts(n: int) -> list[int]:
+    """Index t <= n: rooted trees on t vertices whose root subtrees all have
+    fewer than n/2 vertices.  On at most n vertices only one root subtree
+    can be that large, so the others are the s-vertex subtree, s >= n/2,
+    times any rooted tree on the t - s vertices left over."""
+    table = _centroid_tables.get(n)
+    if table is None:
+        _unlabeled_rooted_count(n)  # fills the table
+        r = _rooted_counts
+        table = [r[t] - sum(r[s] * r[t - s] for s in range((n + 1) // 2, t))
+                 for t in range(n + 1)]
+        _centroid_tables[n] = table
+    return table
+
+
 def count_trees(kind: TreeKind, n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -157,7 +176,7 @@ def _labeled_free_trees(n: int) -> Iterator[FreeTree]:
 
 
 # ---------------------------------------------------------------------------
-# Level sequences (unlabeled rooted trees)
+# Level sequences (unlabeled trees)
 # ---------------------------------------------------------------------------
 
 
@@ -203,14 +222,18 @@ def _unlabeled_rooted_trees(n: int) -> Iterator[RootedTree]:
 
 
 def _unlabeled_free_trees(n: int) -> Iterator[FreeTree]:
-    # keep one rooted representative per free isomorphism class: the root must
-    # be a centre and yield the minimal centre-rooted canonical code
-    for rt in _unlabeled_rooted_trees(n):
-        free = rt.to_free()
-        if rt.root not in centre(free):
-            continue
-        if canonical_code(rt) == free_canonical_code(free):
-            yield free
+    # each free tree once, rooted at its centroid: one centroid when every
+    # root subtree (the run from one level-2 entry to the next) is below n/2,
+    # else two n/2-vertex halves with the second hung from the first's root
+    for levels in _level_sequences(n):
+        starts = [i for i, x in enumerate(levels) if x == 2] + [n]
+        if all(2 * (b - a) < n for a, b in zip(starts, starts[1:])):
+            yield _rooted_from_levels(levels).to_free()
+    if n % 2 == 0:
+        halves = list(_level_sequences(n // 2))
+        for i, a in enumerate(halves):
+            for b in halves[i:]:
+                yield _rooted_from_levels(a + [x + 1 for x in b]).to_free()
 
 
 def exhaustive_trees(kind: TreeKind, n: int) -> Iterator[Tree]:
@@ -235,87 +258,56 @@ def exhaustive_trees(kind: TreeKind, n: int) -> Iterator[Tree]:
 # ---------------------------------------------------------------------------
 
 
-class _Node:
-    __slots__ = ("kids", "size")
+def _random_levels(n: int, counts: list[int], rng: random.Random) -> list[int]:
+    """Level sequence of a uniform rooted tree on n vertices, counts[t] being
+    the number allowed on t <= n vertices: all for ``_rooted_counts``
+    (RANRUT), root subtrees below n/2 for ``_centroid_counts(n)``.
 
-    def __init__(self, kids):
-        self.kids = kids
-        self.size = 1 + sum(k.size for k in kids)
-
-
-def _node_to_rooted(node: _Node) -> RootedTree:
-    n = node.size
-    parent = [0] * (n + 1)
-    children: list[list[int]] = [[] for _ in range(n + 1)]
-    counter = itertools.count(1)
-    stack = [(node, 0)]
-    while stack:
-        nd, par = stack.pop()
-        v = next(counter)
-        parent[v] = par
-        if par:
-            children[par].append(v)
-        for kid in reversed(nd.kids):
-            stack.append((kid, v))
-    return RootedTree._from_parts(n, 1, tuple(parent), tuple(tuple(c) for c in children))
-
-
-def _random_rooted_node(n: int, rng: random.Random) -> _Node:
-    """Uniform unlabeled rooted tree, counting-based recursive method."""
-    if n == 1:
-        return _Node([])
-    if n == 2:
-        return _Node([_Node([])])
-    rn = _unlabeled_rooted_count(n)
-    x = rng.randrange((n - 1) * rn)
-    cum = 0
-    jd = None
-    for d in range(1, n):
-        sd = d * _rooted_counts[d]
-        j = 1
-        while j * d <= n - 1:
-            cum += sd * _rooted_counts[n - j * d]
-            if x < cum:
-                jd = (j, d)
-                break
-            j += 1
-        if jd:
-            break
-    j, d = jd
-    trunk = _random_rooted_node(n - j * d, rng)
-    limb = _random_rooted_node(d, rng)
-    trunk.kids = trunk.kids + [limb] * j
-    trunk.size += j * d
-    return trunk
+    A draw picks (j, d) with weight d * r_d * counts[t - j*d]: j copies of a
+    d-vertex limb hang from the root of a (t - j*d)-vertex trunk.  The trunk
+    chain is walked in a loop; its limbs, any rooted trees, are then drawn
+    innermost first, the trees waiting on them kept on a stack."""
+    _unlabeled_rooted_count(n)  # fills the table
+    r = _rooted_counts
+    stack = []  # (levels, limbs) of trees still owed a limb
+    size = n
+    while True:
+        limbs = []  # (j, d) along the trunk chain, innermost last
+        while size > 2:
+            # x is below the sum of all weights, so d stays within counts' bound
+            x = rng.randrange((size - 1) * counts[size])
+            d = 0
+            while x >= 0:
+                d += 1
+                w = d * r[d]
+                rest = size
+                while rest > d and x >= 0:
+                    rest -= d
+                    x -= w * counts[rest]
+            limbs.append(((size - rest) // d, d))
+            size = rest
+        levels = [1, 2][:size]
+        while not limbs:
+            if not stack:
+                return levels
+            limb = [x + 1 for x in levels]
+            levels, limbs = stack.pop()
+            levels += limb * limbs.pop()[0]
+        stack.append((levels, limbs))
+        size, counts = limbs[-1][1], r
 
 
 def _random_unlabeled_free(n: int, rng: random.Random) -> FreeTree:
-    if n <= 3:
-        return _free_from_edges(n, [(i, i + 1) for i in range(1, n)]) if n > 1 \
-            else FreeTree.from_edge_list(1, [])
-    tn = _unlabeled_free_count(n)
     if n % 2 == 0:
         rh = _unlabeled_rooted_count(n // 2)
-        bicentroidal = rh * (rh + 1) // 2
-        if rng.randrange(tn) < bicentroidal:
-            # two half-trees joined at the roots, uniform over unordered pairs
-            while True:
-                a = _random_rooted_node(n // 2, rng)
-                b = _random_rooted_node(n // 2, rng)
-                ra, rb = _node_to_rooted(a), _node_to_rooted(b)
-                if canonical_code(ra) == canonical_code(rb) or rng.random() < 0.5:
-                    break
-            half = n // 2
-            edges = list(ra.to_free().edges())
-            for u, v in rb.to_free().edges():
-                edges.append((u + half, v + half))
-            edges.append((1, 1 + half))
-            return _free_from_edges(n, edges)
-    # unicentroidal: resample until the root is the (strict) centroid
-    while True:
-        node = _random_rooted_node(n, rng)
-        if all(k.size < n / 2 for k in node.kids):
-            return _node_to_rooted(node).to_free()
+        if rng.randrange(_unlabeled_free_count(n)) < rh * (rh + 1) // 2:
+            # uniform over unordered pairs of halves: a twin pair comes from
+            # either branch, 1/(rh(rh + 1)) each, a mixed pair from the second
+            a = _random_levels(n // 2, _rooted_counts, rng)
+            b = a if rng.randrange(rh + 1) == 0 else \
+                _random_levels(n // 2, _rooted_counts, rng)
+            return _rooted_from_levels(a + [x + 1 for x in b]).to_free()
+    return _rooted_from_levels(_random_levels(n, _centroid_counts(n), rng)).to_free()
 
 
 def _random_labeled_free(n: int, rng: random.Random) -> FreeTree:
@@ -337,7 +329,7 @@ def random_tree(kind: TreeKind, n: int, rng: random.Random) -> Tree:
             return free
         return RootedTree.root_at(free, rng.randint(1, n))
     if kind.rooting == "rooted":
-        return _node_to_rooted(_random_rooted_node(n, rng))
+        return _rooted_from_levels(_random_levels(n, _rooted_counts, rng))
     return _random_unlabeled_free(n, rng)
 
 

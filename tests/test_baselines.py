@@ -74,6 +74,16 @@ def test_monte_carlo_needs_a_sample(samples):
                             mode="monte_carlo", samples=samples, seed=1)
 
 
+@pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
+def test_metric_undefined_on_a_member(mode):
+    with pytest.raises(ValueError, match="metric undefined on an ensemble member"):
+        estimate_over_arrangements(from_head_vector("0"), "flux_max_size",
+                                   mode=mode, samples=5, seed=1)
+    with pytest.raises(ValueError, match="metric undefined on an ensemble member"):
+        estimate_over_trees(TreeKind.parse("labeled-free"), 3, "hubiness",
+                            mode=mode, samples=5, seed=1)
+
+
 def test_unknown_metric():
     t = from_head_vector("0 1")
     with pytest.raises(UnknownMetricError):

@@ -161,6 +161,14 @@ def test_baseline_estimate(capsys):
     assert code == 0 and "seed=9" in out
 
 
+@pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
+def test_estimate_of_undefined_metric_is_a_usage_error(mode, capsys):
+    code, out, err = run_cli(
+        ["baseline", "--tree", "0", "--what", "estimate", "--metric", "flux_max_size",
+         "--mode", mode], capsys)
+    assert code == 2 and out == "" and "metric undefined on an ensemble member" in err
+
+
 def test_samples_and_count_below_one_are_usage_errors(capsys):
     code, out, err = run_cli(
         ["baseline", "--tree", "0 1 2 2", "--what", "estimate", "--metric", "D",

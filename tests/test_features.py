@@ -35,6 +35,7 @@ def test_context_matches_public_functions():
         t = random_tree(kind, n, rng)
         a = random_arrangement(t, _CONSTRAINTS[i % 4], rng)
         ctx = features.FeatureContext(t, a)
+        assert _value("D", ctx) == linarr.sum_edge_lengths(t, a)
         assert ctx.C == _value("C", ctx) == num_crossings(t, a)
         flags = classify_arrangement(t, a)
         assert ctx.flags == flags

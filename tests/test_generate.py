@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -83,6 +84,14 @@ def test_labeled_rooted_distinct():
         seen = {(t.root, tuple(t.to_head_vector()))
                 for t in exhaustive_trees(LR, n)}
         assert len(seen) == n ** (n - 1)
+
+
+def test_unlabeled_free_enumeration_distinct_to_14():
+    # OEIS A000055 from n = 1
+    counts = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159]
+    for n, count in enumerate(counts, start=1):
+        codes = {free_canonical_code(t) for t in exhaustive_trees(UF, n)}
+        assert len(codes) == count == sum(1 for _ in exhaustive_trees(UF, n))
 
 
 def test_unlabeled_streams_pairwise_nonisomorphic():
@@ -188,14 +197,15 @@ def test_random_arrangements_valid_and_uniform_small():
 
 # --- seeded streams and scale ------------------------------------------------
 
-# Literals recorded from the generators at commit 001c0b2; a change to any of
-# them changes every seeded sample, estimate and benchmark input downstream.
+# Literals recorded from the generators at commit 001c0b2, unlabeled-free
+# again at the centroid-rooted draw; a change to any of them changes every
+# seeded sample, estimate and benchmark input downstream.
 GOLDEN_TREES = {
     "labeled-free": (31, ((1, 4), (1, 11), (1, 3), (2, 6), (2, 3), (2, 9), (3, 7),
                           (5, 8), (7, 8), (9, 12), (10, 11))),
     "labeled-rooted": (32, (8, 0, 5, 2, 12, 2, 3, 4, 4, 12, 1, 1)),
-    "unlabeled-free": (33, ((1, 2), (1, 7), (2, 3), (3, 4), (3, 5), (5, 6), (7, 8),
-                            (8, 9), (9, 10), (10, 11), (11, 12))),
+    "unlabeled-free": (33, ((1, 2), (1, 7), (2, 3), (2, 4), (4, 5), (5, 6), (7, 8),
+                            (8, 9), (9, 10), (10, 11), (10, 12))),
     "unlabeled-rooted": (34, (0, 1, 2, 3, 4, 5, 4, 4, 8, 8, 10, 4)),
 }
 
@@ -220,6 +230,44 @@ def test_seeded_streams_golden():
     for constraint, expected in GOLDEN_ARRANGEMENTS.items():
         drawn = [random_arrangement(t, constraint, rng).inverse[1:] for _ in range(3)]
         assert drawn == expected, constraint
+
+
+# sha256 of the head vectors below, one a line, recorded at commit 593fcb1;
+# this stream builds the inputs of every benchmark workload
+UNLABELED_ROOTED_STREAM = "9f533c20b03b7db14efdb139648ed2658a4c2650fd97f29226952aeafe47388b"
+
+
+def test_unlabeled_rooted_stream_pinned():
+    digest = hashlib.sha256()
+    for seed in range(50):
+        for n in (1, 2, 3, 5, 12, 30, 100):
+            t = random_tree(UR, n, random.Random(seed))
+            digest.update((t.head_vector_str() + "\n").encode())
+    assert digest.hexdigest() == UNLABELED_ROOTED_STREAM
+
+
+def test_unlabeled_free_at_scale():
+    start = time.perf_counter()
+    t = random_tree(UF, 1000, random.Random(3))
+    assert time.perf_counter() - start < 2.0
+    assert t.n == 1000 and t.num_edges == 999
+
+
+# Always the first (j, d) is a leaf on a trunk one vertex smaller: a star on a
+# trunk chain n long.  Always the last is a root over one limb of n - 1
+# vertices: a path, limbs nested n deep.  n = 1 100 is past the default
+# recursion limit; at n = 5 000 the count table alone takes minutes.
+@pytest.mark.parametrize("last", [False, True])
+def test_unlabeled_rooted_deep_draws(last):
+    n = 1100
+    rng = random.Random(0)
+    rng.randrange = (lambda m: m - 1) if last else (lambda m: 0)
+    t = random_tree(UR, n, rng)
+    if last:
+        degrees = sorted(t.to_free().degree(v) for v in t.vertices())
+        assert degrees == [1, 1] + [2] * (n - 2)  # a path
+    else:
+        assert t.num_children(t.root) == n - 1  # a star
 
 
 @pytest.mark.parametrize("shape", ["path", "star", "random_recursive"])
