@@ -25,7 +25,7 @@ from .errors import (
     NonContiguousIdsError,
     TreeValidationError,
 )
-from .treebank import _write_lines
+from .treebank import _POLICIES, _write_lines
 from .trees import RootedTree
 
 DEFAULT_FUNCTION_WORD_UPOS = frozenset(
@@ -198,6 +198,8 @@ def convert(
     error_policy: str = "skip_and_report",
 ) -> ConversionReport:
     """Convert a CoNLL-U file into a head-vector treebank file."""
+    if error_policy not in _POLICIES:
+        raise ValueError(f"error policy must be one of {_POLICIES}")
     if not os.path.exists(input_path):
         raise FileNotFoundError(input_path)
     if opts is None:

@@ -6,8 +6,9 @@ context that computes each shared per-sentence intermediate at most once:
 the positioned edge list, the crossing count C, the arrangement flags, the
 flux profile and the tree-shape flags.  One crossing sweep over one edge
 list thus serves C, projective, planar and one_ec, and the same edge list
-serves D and the flux features.  Features that are undefined for a sentence
-(e.g. hubiness below n = 4) evaluate to None.
+serves D; the flux profile reads the tree and the positions directly.
+Features that are undefined for a sentence (e.g. hubiness below n = 4)
+evaluate to None.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class FeatureContext:
 
     @cached_property
     def flux(self) -> linarr.FluxProfile:
-        return linarr._flux(self.edges, self.tree.n)
+        return linarr.flux(self.tree, self.arrangement)
 
     @cached_property
     def shape(self) -> properties.TreeShapeFlags:

@@ -4,7 +4,9 @@ D is the sum of dependency distances (edge lengths), C the number of edge
 crossings, counted by a Fenwick-tree sweep in O(m log n).  An arrangement is
 planar when C = 0 and projective when it is planar and no edge covers the
 root; only an arrangement with a crossing needs the pairwise test for one
-endpoint crossing.  Flux comes from one left-to-right pass over the gaps.
+endpoint crossing.  Flux sizes and weights (maximum matchings of the edges
+over each gap) come from one children-first greedy matching run at every gap
+at once, in O(n).
 
 The solvers return minima of D under three regimes: unconstrained, planar
 (no crossings) and projective (planar with an uncovered root).  The planar
@@ -17,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from . import properties
 from .errors import NoEdgesError
@@ -146,53 +148,47 @@ def head_initial_ratio(t: RootedTree, a: Arrangement) -> Fraction:
     return Fraction(head_first, t.n - 1)
 
 
-def _matching_size(edges: Iterable[tuple[int, int]]) -> int:
-    """Maximum matching of a forest, by leaf peeling: a leaf and its one
-    remaining neighbour are matched when both are free (optimal on forests)."""
-    degree: dict[int, int] = {}
-    others: dict[int, int] = {}  # XOR of each vertex's remaining neighbours
-    for u, v in edges:
-        degree[u] = degree.get(u, 0) + 1
-        degree[v] = degree.get(v, 0) + 1
-        others[u] = others.get(u, 0) ^ v
-        others[v] = others.get(v, 0) ^ u
-    leaves = [v for v, d in degree.items() if d == 1]
-    matched: set[int] = set()
-    for v in leaves:  # grows while it is walked
-        if degree[v] != 1:
-            continue  # its last edge went when its neighbour was peeled
-        u = others[v]
-        degree[v] = 0
-        degree[u] -= 1
-        others[u] ^= v
-        if v not in matched and u not in matched:
-            matched.update((u, v))
-        if degree[u] == 1:
-            leaves.append(u)
-    return len(matched) // 2
+def _flux(t: RootedTree, a: Arrangement) -> FluxProfile:
+    """Flux sizes and weights of every gap in O(n), from difference arrays.
 
-
-def _flux(edges: list[tuple[int, int]], n: int) -> FluxProfile:
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-    for e in edges:
-        incident[e[0]].append(e)
-        incident[e[1]].append(e)
-    spanning: set[tuple[int, int]] = set()
-    sizes = []
-    weights = []
-    for g in range(1, n):
-        # the edges ending at position g close and those starting there open
-        spanning.symmetric_difference_update(incident[g])
-        sizes.append(len(spanning))
-        weights.append(_matching_size(spanning))
-    return FluxProfile(sizes=tuple(sizes), weights=tuple(weights))
+    The weight of a gap is a maximum matching of the edges spanning it.  The
+    greedy that takes an edge (c, parent) when both ends are free, children
+    first, is optimal on any forest, and restricted to the edges over one gap
+    it is that greedy on their subforest; so one greedy serves every gap.  The
+    gaps where a vertex is already matched form a run next to it on each side
+    (`left`, `right`), so each edge is taken on one interval of gaps."""
+    n, pos, parent = t.n, a.position, t.parent
+    size = [0] * (n + 1)
+    weight = [0] * (n + 1)
+    left = [0] * (n + 1)
+    right = [0] * (n + 1)
+    for c in reversed(_subtree_sizes(t)[0][1:]):
+        p = parent[c]
+        pc, pp = pos[c], pos[p]
+        if pp < pc:
+            size[pp] += 1
+            size[pc] -= 1
+            lo, hi = pp + right[p], pc - 1 - left[c]
+            if lo <= hi:
+                right[p] = hi - pp + 1
+        else:
+            size[pc] += 1
+            size[pp] -= 1
+            lo, hi = pc + right[c], pp - 1 - left[p]
+            if lo <= hi:
+                left[p] = pp - lo
+        if lo <= hi:
+            weight[lo] += 1
+            weight[hi + 1] -= 1
+    return FluxProfile(sizes=tuple(itertools.accumulate(size[1:n])),
+                       weights=tuple(itertools.accumulate(weight[1:n])))
 
 
 def flux(t: Tree, a: Arrangement) -> FluxProfile:
     _check_same_size(t, a)
     if t.n < 2:
         raise NoEdgesError("flux undefined on a single vertex")
-    return _flux(_positioned_edges(t, a), t.n)
+    return _flux(t if isinstance(t, RootedTree) else RootedTree.root_at(t, 1), a)
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,15 @@ def test_convert_end_to_end(tmp_path):
         "in.conllu", "out.hv", "out2.hv", "out3.hv"]
 
 
+def test_unknown_error_policy_rejected_before_output(tmp_path):
+    src = tmp_path / "in.conllu"
+    src.write_text(_sentence(_u(1, "a", "NOUN", 5)), encoding="utf-8")
+    out = tmp_path / "out.hv"
+    with pytest.raises(ValueError, match="error policy"):
+        convert(str(src), str(out), error_policy="fail-fast")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.conllu"]
+
+
 def test_no_reachable_root_is_a_cycle_error(tmp_path):
     rootless = [_tok(1, 2), _tok(2, 1)]
     removed_root = [_tok(1, 0, upos="PUNCT"), _tok(2, 3), _tok(3, 2)]

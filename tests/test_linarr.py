@@ -92,6 +92,34 @@ def test_flux_and_flags_match_oracles_random():
         _check_flux_and_flags(t, Arrangement.from_vertex_order(rng.sample(range(1, n + 1), n)))
 
 
+def test_flux_free_trees_every_rooting():
+    # flux of a free tree roots it at vertex 1; every rooting gives the same profile
+    rng = random.Random(9)
+    for n in range(2, 10):
+        for t in exhaustive_trees(TreeKind.parse("unlabeled-free"), n):
+            for _ in range(3):
+                a = Arrangement.from_vertex_order(rng.sample(range(1, n + 1), n))
+                f = flux(t, a)
+                assert (f.sizes, f.weights) == oracles.flux_profile(
+                    n, list(t.edges()), _positions(t, a))
+                assert all(flux(t.root_at(r), a) == f for r in t.vertices())
+
+
+@pytest.mark.parametrize("order", ["identity", "random"])
+@pytest.mark.parametrize("shape", ["path", "star", "random_recursive"])
+def test_flux_at_scale(shape, order):
+    n = 10_000
+    t = scale_tree(shape, n)
+    a = (Arrangement.identity(n) if order == "identity"
+         else Arrangement.from_vertex_order(random.Random(n).sample(range(1, n + 1), n)))
+    D = sum_edge_lengths(t, a)
+    for tree in (t, t.to_free()):
+        start = time.perf_counter()
+        f = flux(tree, a)
+        assert time.perf_counter() - start < 2.0
+        assert sum(f.sizes) == D
+
+
 def test_head_initial_ratio():
     t = from_head_vector("0 1 2")  # both deps after their head
     assert head_initial_ratio(t, Arrangement.identity(3)) == 1

@@ -1,8 +1,16 @@
+import hashlib
 import os
+import random
 
 import pytest
 
-from deplin import process_collection, process_treebank, read_head_vectors
+from deplin import (
+    TreeKind,
+    process_collection,
+    process_treebank,
+    random_tree,
+    read_head_vectors,
+)
 from deplin.errors import MultipleRootsError, TreeValidationError
 from deplin.treebank import render_value
 from fractions import Fraction
@@ -103,6 +111,30 @@ def test_collection_per_file_and_merged(tmp_path):
     assert lines[0] == "treebank,sentence_id,n,D"
     assert lines[1].startswith("x,1,2,")
     assert lines[2].startswith("y,1,3,") and lines[3].startswith("y,2,2,")
+
+
+# sha256 of the exact default-feature CSV of the treebank below
+PINNED_CSV_SHA256 = "ea5d60e1f26f1e208788d27cf3c41ed0020a24fafd954a8cca2d2a4c53540b0b"
+
+
+def test_default_csv_bytes_pinned(tmp_path):
+    # criterion-8 head vectors, then the same trees with their vertices
+    # relabeled by a seeded permutation, so that most identity orders cross
+    rng = random.Random(2000)
+    trees = [random_tree(TreeKind.parse("unlabeled-rooted"), rng.randint(1, 30), rng)
+             for _ in range(2000)]
+    lines = [t.head_vector_str() for t in trees]
+    for t in trees:
+        label = [0, *rng.sample(range(1, t.n + 1), t.n)]
+        heads = [0] * t.n
+        for v in t.vertices():
+            heads[label[v] - 1] = label[t.parent[v]]
+        lines.append(" ".join(map(str, heads)))
+    src = tmp_path / "pinned.hv"
+    src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "pinned.csv"
+    process_treebank(str(src), str(out), exact=True)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_CSV_SHA256
 
 
 # 70 valid sentences, then a blank line, a non-integer token, an invalid tree
