@@ -8,7 +8,8 @@ interpreted; the remaining columns are carried through unchanged.
 Preprocessing can drop punctuation and function words (dependents of a
 removed token are re-attached to its nearest retained ancestor; a removed
 root is replaced by its leftmost retained dependent) and filter sentences by
-their post-removal length.
+their post-removal length.  A sentence with more than one root is rejected
+before any removal.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .errors import (
     CycleError,
     HeadOutOfRangeError,
     MalformedLineError,
+    MultipleRootsError,
     NonContiguousIdsError,
     TreeValidationError,
 )
@@ -142,7 +144,13 @@ def parse_conllu(path: str) -> Iterator[list[ConlluToken]]:
 
 def preprocess(tokens: list[ConlluToken],
                opts: PreprocessOptions) -> Optional[tuple[int, ...]]:
-    """Reduce a sentence to a head vector, or None when filtered out."""
+    """Reduce a sentence to a head vector, or None when filtered out.
+
+    A sentence whose input has more than one root (HEAD 0) is rejected before
+    any removal, as the head-vector reader rejects it."""
+    roots = [t.id for t in tokens if t.head == 0]
+    if len(roots) > 1:
+        raise MultipleRootsError(f"tokens {roots[0]} and {roots[1]} both have HEAD 0")
 
     def keep(t: ConlluToken) -> bool:
         if opts.remove_punct and t.upos == "PUNCT":

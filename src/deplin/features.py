@@ -6,7 +6,10 @@ context that computes each shared per-sentence intermediate at most once:
 the positioned edge list, the crossing count C, the arrangement flags, the
 flux profile and the tree-shape flags.  One crossing sweep over one edge
 list thus serves C, projective, planar and one_ec, and the same edge list
-serves D; the flux profile reads the tree and the positions directly.
+serves D; the flux profile reads the tree and the positions directly.  A
+rooted tree memoizes its subtree-size pass, so flux, MHD and D_min_projective
+share one pass, and the degree features read degrees from the rooted tree
+without building its free tree.
 Features that are undefined for a sentence (e.g. hubiness below n = 4)
 evaluate to None.
 """
@@ -116,7 +119,7 @@ for _flag in ("linear", "star", "quasistar", "bistar", "caterpillar", "spider"):
     _register(_flag,
               (lambda fl: lambda ctx: int(getattr(ctx.shape, fl)))(_flag))
 _register("D_min_projective",
-          lambda ctx: linarr.min_D_projective(ctx.rooted).value, requires_rooted=True)
+          lambda ctx: linarr._min_projective_value(ctx.rooted), requires_rooted=True)
 _register("D_min_planar", lambda ctx: linarr.min_D_planar(ctx.tree).value,
           expensive=True)
 _register("D_min_unconstrained",

@@ -20,17 +20,14 @@ Tree = Union[FreeTree, RootedTree]
 
 
 def canonical_code(t: RootedTree) -> str:
-    n = t.n
-    code = [""] * (n + 1)
+    # each child's code is dropped once its parent's is built, so the codes
+    # held at any time total O(n) characters rather than O(n * height)
     topo = [t.root]
     for v in topo:
         topo.extend(t.children[v])
+    code: dict[int, str] = {}
     for v in reversed(topo):
-        kids = t.children[v]
-        if kids:
-            code[v] = "(" + "".join(sorted(code[c] for c in kids)) + ")"
-        else:
-            code[v] = "()"
+        code[v] = "(" + "".join(sorted([code.pop(c) for c in t.children[v]])) + ")"
     return code[t.root]
 
 

@@ -10,8 +10,9 @@ at once, in O(n).
 
 The solvers return minima of D under three regimes: unconstrained, planar
 (no crossings) and projective (planar with an uncovered root).  The planar
-and projective minima are exact; the unconstrained one is not yet (see the
-solver notes below).
+and projective minima are exact: the value comes from a closed form over
+sorted child-subtree sizes, and a placement gives the witness arrangement.
+The unconstrained one is not yet exact (see the solver notes below).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Optional, Union
 
 from . import properties
 from .errors import NoEdgesError
-from .trees import Arrangement, FreeTree, RootedTree, _check_same_size, _subtree_sizes
+from .trees import Arrangement, FreeTree, RootedTree, _check_same_size
 
 Tree = Union[FreeTree, RootedTree]
 
@@ -80,19 +81,6 @@ def sum_edge_lengths(t: Tree, a: Arrangement) -> int:
 def _crossings_sweep(edges: list[tuple[int, int]], n: int) -> int:
     # Fenwick tree over right endpoints of already-opened edges.
     bit = [0] * (n + 1)
-
-    def add(i: int) -> None:
-        while i <= n:
-            bit[i] += 1
-            i += i & -i
-
-    def prefix(i: int) -> int:
-        s = 0
-        while i > 0:
-            s += bit[i]
-            i -= i & -i
-        return s
-
     by_left: list[list[int]] = [[] for _ in range(n + 1)]
     for l, r in edges:
         by_left[l].append(r)
@@ -100,10 +88,20 @@ def _crossings_sweep(edges: list[tuple[int, int]], n: int) -> int:
     for p in range(1, n + 1):
         rights = by_left[p]
         for r in rights:
-            # open edges (l' < p) crossing (p, r) have r' in (p, r)
-            c += prefix(r - 1) - prefix(p)
+            # open edges (l' < p) crossing (p, r) have r' in (p, r): add
+            # prefix(r - 1) - prefix(p), walking both indices down to the
+            # node where their Fenwick paths meet
+            i, j = r - 1, p
+            while i > j:
+                c += bit[i]
+                i -= i & -i
+            while j > i:
+                c -= bit[j]
+                j -= j & -j
         for r in rights:
-            add(r)
+            while r <= n:
+                bit[r] += 1
+                r += r & -r
     return c
 
 
@@ -162,7 +160,7 @@ def _flux(t: RootedTree, a: Arrangement) -> FluxProfile:
     weight = [0] * (n + 1)
     left = [0] * (n + 1)
     right = [0] * (n + 1)
-    for c in reversed(_subtree_sizes(t)[0][1:]):
+    for c in reversed(t._subtree_sizes()[0][1:]):
         p = parent[c]
         pc, pp = pos[c], pos[p]
         if pp < pc:
@@ -202,10 +200,18 @@ def flux(t: Tree, a: Arrangement) -> FluxProfile:
 # the two sides, larger blocks farther out.  At a non-root vertex the edge to
 # the parent passes over every block on the parent's side, so the parent
 # counts as the largest block there: the largest child goes opposite the
-# parent and the rest alternate.  A planar arrangement of a free tree is a
-# projective arrangement of the tree rooted at its leftmost vertex, and the
-# planar minimum is the projective minimum rooted at a centroid (Hochberg &
-# Stallmann 2003; same 2022 paper).  Sorting makes both O(n log n).
+# parent and the rest alternate.  The value needs no placement: an edge is
+# 1 plus the vertices between its ends, so with s_1 >= s_2 >= ... the child
+# subtree sizes of v, D = (n - 1) + sum over v and j >= 2 of
+# s_j * (floor((j - 1) / 2) + [v is not the root and j is even]).  Block j
+# lies between v and the floor((j - 1) / 2) larger blocks on its side, whose
+# edges to v pass over it; at a non-root vertex the even blocks lie on the
+# parent's side, and the edge to the parent passes over them.  The solvers
+# return this value with a witness placement.  A planar arrangement of a
+# free tree is a projective arrangement of the tree rooted at its leftmost
+# vertex, and the planar minimum is the projective minimum rooted at a
+# centroid (Hochberg & Stallmann 2003; same 2022 paper).  Sorting makes both
+# O(n log n).
 #
 # min_D_unconstrained still delegates to the planar solver, which is wrong on
 # some trees: an optimal unconstrained arrangement need not be crossing-free
@@ -214,17 +220,40 @@ def flux(t: Tree, a: Arrangement) -> FluxProfile:
 # ---------------------------------------------------------------------------
 
 
-def _min_projective(t: RootedTree) -> tuple[int, list[int]]:
-    """Exact projective minimum of D with a witness position list (index 0 unused)."""
-    children, parent = t.children, t.parent
-    topo, size = _subtree_sizes(t)
+def _min_projective_value(t: RootedTree) -> int:
+    """Exact projective minimum of D, from the closed form above."""
+    size = t._subtree_sizes()[1]
+    value = t.n - 1
+    root = t.root
+    for v, kids in enumerate(t.children):
+        if len(kids) == 2:  # the common case: only the smaller, s_2, below the root
+            if v != root:
+                value += min(size[kids[0]], size[kids[1]])
+        elif len(kids) > 2:
+            s = sorted([size[c] for c in kids], reverse=True)
+            # 0-based j: s[j] is s_(j+1) above
+            value += sum(x * (j >> 1) for j, x in enumerate(s))
+            if v != root:
+                value += sum(s[1::2])
+    return value
+
+
+def _min_projective(t: RootedTree) -> list[int]:
+    """A projective arrangement of minimum D, as a position list (index 0 unused)."""
+    children = t.children
+    topo, size = t._subtree_sizes()
     lo = [0] * (t.n + 1)  # first position of each subtree's interval
     # whether each vertex's parent lies to its left; the root's side is arbitrary
     parent_left = [True] * (t.n + 1)
     lo[t.root] = 1
     pos = [0] * (t.n + 1)
     for v in topo:
-        kids = sorted(children[v], key=size.__getitem__, reverse=True)
+        kids = children[v]
+        if not kids:  # a leaf fills its one-position interval
+            pos[v] = lo[v]
+            continue
+        if len(kids) > 1:
+            kids = sorted(kids, key=size.__getitem__, reverse=True)
         opposite, near = kids[0::2], kids[1::2]
         left, right = (near, opposite) if parent_left[v] else (opposite, near)
         p = lo[v]
@@ -237,18 +266,15 @@ def _min_projective(t: RootedTree) -> tuple[int, list[int]]:
         for c in right:  # from the far right inwards
             q -= size[c]
             lo[c] = q
-    value = sum(abs(pos[v] - pos[parent[v]]) for v in topo[1:])
-    return value, pos
+    return pos
 
 
 def min_D_projective(t: RootedTree) -> MinArrangementResult:
-    value, pos = _min_projective(t)
-    return MinArrangementResult(value, Arrangement(pos[1:]))
+    return MinArrangementResult(_min_projective_value(t), Arrangement(_min_projective(t)[1:]))
 
 
 def min_D_planar(t: Tree) -> MinArrangementResult:
-    value, pos = _min_projective(RootedTree.root_at(t.to_free(), min(properties.centroid(t))))
-    return MinArrangementResult(value, Arrangement(pos[1:]))
+    return min_D_projective(RootedTree.root_at(t.to_free(), min(properties.centroid(t))))
 
 
 def min_D_unconstrained(t: Tree) -> MinArrangementResult:

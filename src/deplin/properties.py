@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import KindMismatchError, NoEdgesError, TooSmallError
-from .trees import FreeTree, RootedTree, _subtree_sizes
+from .trees import FreeTree, RootedTree, _degrees
 
 Tree = Union[FreeTree, RootedTree]
 
@@ -24,13 +24,8 @@ class TreeShapeFlags:
 
 def num_independent_edge_pairs(t: Tree) -> int:
     """Q: pairs of edges sharing no vertex."""
-    free = t.to_free()
-    m = free.n - 1
-    q = m * (m - 1) // 2
-    for v in free.vertices():
-        d = free.degree(v)
-        q -= d * (d - 1) // 2
-    return q
+    m = t.n - 1
+    return m * (m - 1) // 2 - sum(d * (d - 1) for d in _degrees(t)) // 2
 
 
 def degree_moment(t: Tree, m: int, kind: str = "total") -> Fraction:
@@ -38,8 +33,7 @@ def degree_moment(t: Tree, m: int, kind: str = "total") -> Fraction:
     if m < 1:
         raise ValueError("moment order must be positive")
     if kind == "total":
-        free = t.to_free()
-        return Fraction(sum(free.degree(v) ** m for v in free.vertices()), free.n)
+        return Fraction(sum(d ** m for d in _degrees(t)), t.n)
     if kind not in ("in", "out"):
         raise ValueError(f"unknown degree kind: {kind!r}")
     if not isinstance(t, RootedTree):
@@ -53,20 +47,20 @@ def hubiness(t: Tree) -> Fraction:
     """Second degree moment normalized to 0 on paths and 1 on stars.
 
     The degree sum of squares is 4n - 6 on a path and n(n - 1) on a star."""
-    free = t.to_free()
-    n = free.n
+    n = t.n
     if n < 4:
         raise TooSmallError("hubiness requires n >= 4 (path and star coincide below)")
     path = 4 * n - 6
-    return Fraction(sum(free.degree(v) ** 2 for v in free.vertices()) - path,
-                    n * (n - 1) - path)
+    return Fraction(sum(d * d for d in _degrees(t)) - path, n * (n - 1) - path)
 
 
 def mean_hierarchical_distance(t: RootedTree) -> Fraction:
+    """Mean depth of the non-root vertices.  A vertex's depth counts the
+    subtrees it lies in below the root, so the depths sum to the sizes of
+    the non-root subtrees."""
     if t.n < 2:
         raise NoEdgesError("MHD undefined on a single vertex")
-    depth = t.depths()
-    return Fraction(sum(depth[1:]), t.n - 1)
+    return Fraction(sum(t._subtree_sizes()[1]) - t.n, t.n - 1)
 
 
 def centre(t: Tree) -> frozenset[int]:
@@ -102,31 +96,34 @@ def centroid(t: Tree) -> frozenset[int]:
     adjacent ones.  Only vertices on the path of subtrees with at least n/2
     vertices, which starts at the root, pass the first test."""
     rt = t if isinstance(t, RootedTree) else RootedTree.root_at(t, 1)
-    topo, size = _subtree_sizes(rt)
+    topo, size = rt._subtree_sizes()
     return frozenset(v for v in topo if 2 * size[v] >= rt.n
                      and all(2 * size[c] <= rt.n for c in rt.children[v]))
 
 
 def tree_shape(t: Tree) -> TreeShapeFlags:
     """Shape flags; all but caterpillar are read off the degree sequence."""
-    free = t.to_free()
-    n = free.n
-    degree = [free.degree(v) for v in free.vertices()]
+    n = t.n
+    degree = _degrees(t)
     max_deg = max(degree)
     # quasistar: a star with one edge subdivided.  Degrees sum to 2n - 2, so
     # a largest degree of n - 2 forces (n-2, 2, 1, ..., 1), the degree
     # sequence of that tree and of no other.
     # bistar: two adjacent vertices cover all edges; every other vertex is
     # then a leaf.
-    # caterpillar: removing all leaves yields a path (or nothing).
-    internal = [v for v, d in enumerate(degree, start=1) if d >= 2]
+    # caterpillar: removing all leaves yields a path (or nothing), so no
+    # vertex has three internal neighbours.
+    internal_neighbours = [0] * (n + 1)
+    for u, v in t.edges():
+        if degree[u] >= 2 and degree[v] >= 2:
+            internal_neighbours[u] += 1
+            internal_neighbours[v] += 1
     return TreeShapeFlags(
         linear=max_deg <= 2,
         star=max_deg == n - 1 or n <= 2,
         quasistar=n >= 4 and max_deg == n - 2,
-        bistar=len(internal) <= 2,
-        caterpillar=all(sum(1 for w in free.neighbors(v) if free.degree(w) >= 2) <= 2
-                        for v in internal),
+        bistar=sum(1 for d in degree if d >= 2) <= 2,
+        caterpillar=max(internal_neighbours) <= 2,
         spider=sum(1 for d in degree if d >= 3) <= 1)
 
 

@@ -66,7 +66,7 @@ class TreebankSource:
                 if not line:
                     continue
                 try:
-                    heads = tuple(int(tok) for tok in line.split())
+                    heads = tuple(map(int, line.split()))
                 except ValueError:
                     err: Exception = MalformedLineError(
                         f"non-integer token on line {line_no}", line_no)
@@ -101,16 +101,23 @@ def render_value(value, exact: bool = False) -> str:
     if isinstance(value, Fraction):
         if exact:
             return str(value)  # "p/q", or "p" when integral
-        return f"{float(value):.6f}"
+        # int / int is correctly rounded: the same float as float(value)
+        return f"{value.numerator / value.denominator:.6f}"
     if isinstance(value, float):
         return f"{value:.6f}"
     return str(value)
 
 
-def _row(names: list[str], exact: bool, item: tuple[int, RootedTree]) -> str:
+@functools.cache
+def _feature_funcs(names: tuple[str, ...]) -> tuple:
+    """The functions of the named features, resolved once per process."""
+    return tuple(feat.func for feat in features.resolve(names))
+
+
+def _row(names: tuple[str, ...], exact: bool, item: tuple[int, RootedTree]) -> str:
     sentence_id, tree = item
     ctx = features.FeatureContext(tree, Arrangement.identity(tree.n))
-    values = (render_value(feat.func(ctx), exact) for feat in features.resolve(names))
+    values = (render_value(func(ctx), exact) for func in _feature_funcs(names))
     return ",".join([str(sentence_id), str(tree.n), *values])
 
 
@@ -138,7 +145,7 @@ def _rows(source: TreebankSource, names: list[str], exact: bool, threads: int,
             report.processed += 1
             yield sentence_id, rec.tree
 
-    row = functools.partial(_row, names, exact)
+    row = functools.partial(_row, tuple(names), exact)
     if threads == 1:
         yield from map(row, trees())
     else:

@@ -26,7 +26,7 @@ HeadVector = Sequence[int]
 
 def parse_head_vector(text: str) -> tuple[int, ...]:
     """Parse a whitespace-separated head vector line into a tuple of ints."""
-    return tuple(int(tok) for tok in text.split())
+    return tuple(map(int, text.split()))
 
 
 class FreeTree:
@@ -125,13 +125,14 @@ class FreeTree:
 class RootedTree:
     """A free tree with a designated root and parent/child orientation."""
 
-    __slots__ = ("n", "root", "parent", "children", "_free")
+    __slots__ = ("n", "root", "parent", "children", "_free", "_sizes")
 
     def __init__(self, free: FreeTree, root: int):
         t = RootedTree.root_at(free, root)
         self.n, self.root = t.n, t.root
         self.parent, self.children = t.parent, t.children
         self._free = t._free
+        self._sizes = None
 
     @classmethod
     def root_at(cls, free: FreeTree, r: int) -> "RootedTree":
@@ -165,6 +166,7 @@ class RootedTree:
         self.parent = parent
         self.children = children
         self._free = free
+        self._sizes = None
         return self
 
     @classmethod
@@ -220,6 +222,21 @@ class RootedTree:
                     adj[p].append(v)
             self._free = FreeTree._from_adjacency(self.n, tuple(tuple(a) for a in adj))
         return self._free
+
+    def _subtree_sizes(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """A parents-before-children vertex order and every subtree's size
+        (index 0 holds 0), computed once per tree."""
+        if self._sizes is None:
+            children, parent = self.children, self.parent
+            topo = [self.root]
+            for v in topo:
+                topo.extend(children[v])
+            size = [1] * (self.n + 1)
+            size[0] = 0
+            for v in reversed(topo[1:]):
+                size[parent[v]] += size[v]
+            self._sizes = (tuple(topo), tuple(size))
+        return self._sizes
 
     def num_children(self, v: int) -> int:
         return len(self.children[v])
@@ -349,17 +366,15 @@ def to_free(t: RootedTree) -> FreeTree:
     return t.to_free()
 
 
-def _subtree_sizes(t: RootedTree) -> tuple[list[int], list[int]]:
-    """A parents-before-children vertex order and every subtree's size."""
-    children = t.children
-    topo = [t.root]
-    for v in topo:
-        topo.extend(children[v])
-    size = [1] * (t.n + 1)
-    parent = t.parent
-    for v in reversed(topo[1:]):
-        size[parent[v]] += size[v]
-    return topo, size
+def _degrees(t: Union[FreeTree, RootedTree]) -> list[int]:
+    """Every vertex's degree (index 0 holds 0), read from a rooted tree's
+    children and parents or from a free tree's adjacency."""
+    if isinstance(t, RootedTree):
+        degree = [len(kids) + 1 for kids in t.children]
+        degree[0] = 0
+        degree[t.root] -= 1
+        return degree
+    return [len(a) for a in t._adj]
 
 
 def _check_same_size(t, a: Arrangement) -> None:

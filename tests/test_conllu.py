@@ -11,6 +11,7 @@ from deplin.errors import (
     CycleError,
     HeadOutOfRangeError,
     MalformedLineError,
+    MultipleRootsError,
     NonContiguousIdsError,
 )
 
@@ -162,6 +163,30 @@ def test_no_reachable_root_is_a_cycle_error(tmp_path):
     assert out.read_text(encoding="utf-8") == "0\n"
     assert report.converted == 1
     assert [line_no for line_no, _ in report.errored] == [1, 4]
+
+
+def test_multiple_roots_rejected_before_removal(tmp_path):
+    two_roots = [_tok(1, 0), _tok(2, 0), _tok(3, 2)]
+    with pytest.raises(MultipleRootsError):
+        preprocess(two_roots, PreprocessOptions())
+    # one root removed by an option still counts: the input had two
+    punct_root = [_tok(1, 0), _tok(2, 0, upos="PUNCT"), _tok(3, 2)]
+    with pytest.raises(MultipleRootsError):
+        preprocess(punct_root, PreprocessOptions(remove_punct=True))
+
+    src = tmp_path / "in.conllu"
+    src.write_text(
+        _sentence(_u(1, "a", "NOUN", 0), _u(2, "b", "NOUN", 0),
+                  _u(3, "c", "NOUN", 2))  # lines 1-4
+        + _sentence(_u(1, "x", "NOUN", 0)), encoding="utf-8")
+    out = tmp_path / "out.hv"
+    report = convert(str(src), str(out))
+    assert out.read_text(encoding="utf-8") == "0\n"
+    assert report.converted == 1
+    assert [line_no for line_no, _ in report.errored] == [1]
+    assert "HEAD 0" in report.errored[0][1]
+    with pytest.raises(MultipleRootsError):
+        convert(str(src), str(out), error_policy="fail_fast")
 
 
 def test_default_function_word_set():

@@ -12,7 +12,7 @@ from deplin import (
     random_arrangement,
     random_tree,
 )
-from deplin import features, linarr
+from deplin import RootedTree, features, linarr
 from deplin.errors import SizeMismatchError
 from deplin.generate import TreeKind
 
@@ -60,6 +60,42 @@ def test_one_sweep_and_one_edge_list_per_context(monkeypatch):
     for feat in features.resolve(features.default_features()):
         feat.func(ctx)
     assert calls == {"_crossings_sweep": 1, "_positioned_edges": 1}
+
+
+def test_default_features_share_one_size_pass_and_build_no_free_tree(monkeypatch):
+    rng = random.Random(67)
+    kind = TreeKind.parse("labeled-rooted")
+    heads = [FIG1_HV] + [random_tree(kind, rng.randint(1, 30), rng).head_vector_str()
+                         for _ in range(200)]
+    names = features.default_features()
+
+    def row(hv):
+        t = from_head_vector(hv)
+        ctx = features.FeatureContext(t, Arrangement.identity(t.n))
+        return [f.func(ctx) for f in features.resolve(names)]
+
+    expected = [row(hv) for hv in heads]
+
+    def forbidden(self):
+        raise AssertionError("a free tree or a depth pass on the analyze path")
+
+    passes = []
+    size_pass = RootedTree._subtree_sizes
+
+    def counted(self):
+        if self._sizes is None:
+            passes.append(self)
+        return size_pass(self)
+
+    monkeypatch.setattr(RootedTree, "to_free", forbidden)
+    monkeypatch.setattr(RootedTree, "depths", forbidden)
+    monkeypatch.setattr(RootedTree, "_subtree_sizes", counted)
+    for hv, values in zip(heads, expected):
+        passes.clear()
+        assert row(hv) == values
+        (t,) = passes
+        # the memo is immutable, so no caller can change what the others read
+        assert all(isinstance(part, tuple) for part in t._subtree_sizes())
 
 
 @pytest.mark.parametrize("size", [2, 12])

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 from deplin import are_isomorphic, canonical_code, free_canonical_code, from_head_vector
 from deplin.generate import TreeKind, exhaustive_trees, random_tree
@@ -62,3 +63,24 @@ def test_unlabeled_streams_partition_labeled():
         for t in exhaustive_trees(TreeKind.parse("labeled-free"), n):
             matches = [r for r in reps if are_isomorphic(t, r)]
             assert len(matches) == 1
+
+
+def test_codes_of_a_long_path_use_linear_memory():
+    # holding every subtree's code at once would take O(n^2) characters:
+    # about 96 MiB for the rooted code and 49 MiB for the free one
+    n = 10_000
+    t = from_head_vector([0] + list(range(1, n)))
+    free = t.to_free()
+    half = n // 2
+    for code_of, tree, expected in (
+            (canonical_code, t, "(" * n + ")" * n),
+            (free_canonical_code, free,
+             "(" + "(" * half + ")" * half + "(" * (half - 1) + ")" * (half - 1) + ")")):
+        tracemalloc.start()
+        try:
+            code = code_of(tree)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == expected
+        assert peak < 2 * 2**20

@@ -18,6 +18,7 @@ from deplin import (
     random_tree,
     sum_edge_lengths,
 )
+from deplin import features
 from deplin.generate import TreeKind, exhaustive_trees
 
 import oracles
@@ -179,7 +180,8 @@ def _check_min_witness(t, res, projective):
 
 
 def test_min_projective_and_planar_match_dp_oracles_exhaustive():
-    # every rooting of every unlabeled free tree with n <= 11
+    # every rooting of every unlabeled free tree with n <= 11: the value comes
+    # from the closed form, the arrangement from the placement
     for n in range(1, 12):
         for f in exhaustive_trees(TreeKind.parse("unlabeled-free"), n):
             planar = oracles.min_D_planar_all_roots(n, list(f.edges()))
@@ -191,6 +193,7 @@ def test_min_projective_and_planar_match_dp_oracles_exhaustive():
                 parent = [0] + list(t.to_head_vector())
                 res = min_D_projective(t)
                 assert res.value == oracles.min_D_projective_dp(n, parent)
+                assert features.evaluate("D_min_projective", t) == res.value
                 _check_min_witness(t, res, projective=True)
                 assert min_D_planar(t).value == planar
 

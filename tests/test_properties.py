@@ -157,6 +157,25 @@ def test_shape_and_hubiness_by_definition_random():
             _check_shape_and_hubiness(random_tree(TreeKind.parse(kind), rng.randint(1, 80), rng))
 
 
+def test_degree_features_and_mhd_at_every_rooting():
+    # the degree features read a rooted tree's children and parents, never
+    # its free tree; MHD sums subtree sizes rather than depths
+    for n in range(1, 10):
+        for free in exhaustive_trees(TreeKind.parse("unlabeled-free"), n):
+            expected = (num_independent_edge_pairs(free), degree_moment(free, 2),
+                        tree_shape(free))
+            for r in free.vertices():
+                t = free.root_at(r)
+                assert (num_independent_edge_pairs(t), degree_moment(t, 2),
+                        tree_shape(t)) == expected
+                if n >= 2:
+                    assert expected_C_unconstrained(t) == expected_C_unconstrained(free)
+                    assert mean_hierarchical_distance(t) == Fraction(
+                        sum(t.depths()[1:]), n - 1)
+                if n >= 4:
+                    assert hubiness(t) == hubiness(free)
+
+
 def test_expected_values_vs_enumeration():
     for n in range(2, 7):
         for t in exhaustive_trees(TreeKind.parse("unlabeled-free"), n):
