@@ -207,12 +207,8 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_isomorphic(args) -> int:
-    def load(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return [RootedTree.from_head_vector(line)
-                    for line in fh if line.strip()]
-
-    ta, tb = load(args.a), load(args.b)
+    ta = [rec.tree for rec in treebank.read_head_vectors(args.a, "fail_fast")]
+    tb = [rec.tree for rec in treebank.read_head_vectors(args.b, "fail_fast")]
     if len(ta) != len(tb):
         print(f"error: {args.a} has {len(ta)} trees, {args.b} has {len(tb)}",
               file=sys.stderr)

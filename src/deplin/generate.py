@@ -16,6 +16,13 @@ since every vertex comes first in the same number of planar arrangements.
 A planar draw therefore picks the first vertex from one random integer and
 samples a projective order of the tree rooted there, in O(n) time.
 
+Every projective order, drawn or enumerated, comes from one iterative walk
+that orders each vertex's block (itself and its children's blocks) when it
+reaches it: a draw shuffles the block, and the enumeration steps an odometer
+over each block's lazy permutations, so it holds O(n) state.  Planar orders
+are the projective orders of each rooting with the root first.  No function
+here recurses, so tree depth is bounded only by memory.
+
 Random generation takes a ``random.Random`` instance (Mersenne Twister); the
 same seeded generator reproduces the same sample sequence bit-exactly.
 """
@@ -26,7 +33,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from math import factorial
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .errors import SizeLimitExceededError
 from .trees import Arrangement, FreeTree, RootedTree
@@ -156,23 +163,12 @@ def _pruefer_edges(n: int, seq: tuple[int, ...]) -> list[tuple[int, int]]:
     return edges
 
 
-def _free_from_edges(n: int, edges: list[tuple[int, int]]) -> FreeTree:
-    adj: list[list[int]] = [[] for _ in range(n + 1)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return FreeTree._from_adjacency(n, tuple(tuple(a) for a in adj))
-
-
 def _labeled_free_trees(n: int) -> Iterator[FreeTree]:
     if n == 1:
-        yield FreeTree.from_edge_list(1, [])
-        return
-    if n == 2:
-        yield _free_from_edges(2, [(1, 2)])
+        yield FreeTree._from_edges(1, [])
         return
     for seq in itertools.product(range(1, n + 1), repeat=n - 2):
-        yield _free_from_edges(n, _pruefer_edges(n, seq))
+        yield FreeTree._from_edges(n, _pruefer_edges(n, seq))
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +308,9 @@ def _random_unlabeled_free(n: int, rng: random.Random) -> FreeTree:
 
 def _random_labeled_free(n: int, rng: random.Random) -> FreeTree:
     if n == 1:
-        return FreeTree.from_edge_list(1, [])
-    if n == 2:
-        return _free_from_edges(2, [(1, 2)])
+        return FreeTree._from_edges(1, [])
     seq = tuple(rng.randint(1, n) for _ in range(n - 2))
-    return _free_from_edges(n, _pruefer_edges(n, seq))
+    return FreeTree._from_edges(n, _pruefer_edges(n, seq))
 
 
 def random_tree(kind: TreeKind, n: int, rng: random.Random) -> Tree:
@@ -361,96 +355,96 @@ def num_arrangements(t: Tree, constraint: str = "unconstrained") -> int:
     raise ValueError(f"unknown constraint: {constraint!r}")
 
 
-def _expand_blocks(rt: RootedTree, items: tuple, me: int) -> Iterator[list[int]]:
-    """Expand a sequence of items (0 = the vertex `me`, ints = child vertices)."""
-    if not items:
-        yield []
-        return
-    head, rest = items[0], items[1:]
-    if head == 0:
-        for tail in _expand_blocks(rt, rest, me):
-            yield [me] + tail
-    else:
-        for blk in _block_orders(rt, head):
-            for tail in _expand_blocks(rt, rest, me):
-                yield blk + tail
+def _projective_order(rt: RootedTree, block: Callable[[int], Sequence[int]]) -> list[int]:
+    """The projective order of rt in which each inner vertex v's block is
+    ordered as ``block(v)``, a sequence of its items: ``-v`` and its children.
+
+    The walk goes left to right with an explicit stack: a positive entry is
+    a vertex whose block is not yet ordered, a negative one a vertex to
+    place.  A leaf is placed directly."""
+    children = rt.children
+    out: list[int] = []
+    stack = [rt.root]
+    while stack:
+        v = stack.pop()
+        if v < 0:
+            out.append(-v)
+        elif children[v]:
+            stack += reversed(block(v))
+        else:
+            out.append(v)
+    return out
 
 
-def _block_orders(rt: RootedTree, v: int) -> Iterator[list[int]]:
-    kids = rt.children[v]
-    if not kids:
-        yield [v]
-        return
-    for perm in itertools.permutations((0,) + kids):
-        yield from _expand_blocks(rt, perm, v)
+def _projective_orders(rt: RootedTree, pin_first: bool = False) -> Iterator[list[int]]:
+    """Every projective order of rt once; with pin_first, those with the root
+    first.  An odometer over each inner vertex's lazy permutations of its
+    items: the first dial turns each step, and a dial that runs out starts
+    over and carries to the next, so memory stays O(n)."""
+    root, children = rt.root, rt.children
+    inner = [v for v in rt.vertices() if children[v]]
 
+    def perms(v):
+        if pin_first and v == root:
+            return ((-v, *p) for p in itertools.permutations(children[v]))
+        return itertools.permutations((-v, *children[v]))
 
-def _root_first_orders(rt: RootedTree) -> Iterator[list[int]]:
-    kids = rt.children[rt.root]
-    if not kids:
-        yield [rt.root]
-        return
-    for perm in itertools.permutations(kids):
-        for tail in _expand_blocks(rt, perm, rt.root):
-            yield [rt.root] + tail
+    dials = [None] * (rt.n + 1)
+    block = [None] * (rt.n + 1)
+    for v in inner:
+        dials[v] = perms(v)
+        block[v] = next(dials[v])
+    while True:
+        yield _projective_order(rt, block.__getitem__)
+        for v in inner:
+            block[v] = next(dials[v], None)
+            if block[v] is not None:
+                break
+            dials[v] = perms(v)
+            block[v] = next(dials[v])
+        else:
+            return
 
 
 def exhaustive_arrangements(t: Tree, constraint: str = "unconstrained",
                             max_n: int = DEFAULT_EXHAUSTIVE_BOUND) -> Iterator[Arrangement]:
-    """Yield each arrangement satisfying the constraint exactly once."""
+    """Yield each arrangement satisfying the constraint exactly once, lazily;
+    the arguments are checked on the call."""
     if t.n > max_n:
         raise SizeLimitExceededError(
             f"arrangement enumeration beyond bound n <= {max_n}")
     if constraint == "unconstrained":
-        def gen_unconstrained():
-            for perm in itertools.permutations(range(1, t.n + 1)):
-                yield Arrangement.from_vertex_order(perm)
-        return gen_unconstrained()
-    if constraint == "projective":
+        orders = itertools.permutations(range(1, t.n + 1))
+    elif constraint == "projective":
         if not isinstance(t, RootedTree):
             raise TypeError("projective arrangements require a RootedTree")
-
-        def gen_projective():
-            for order in _block_orders(t, t.root):
-                yield Arrangement.from_vertex_order(order)
-        return gen_projective()
-    if constraint == "planar":
+        orders = _projective_orders(t)
+    elif constraint == "planar":
+        # planar arrangement <=> projective for the tree rooted at the
+        # vertex in position 1, so the union over rootings is disjoint
         free = t.to_free()
-
-        def gen_planar():
-            # planar arrangement <=> projective for the tree rooted at the
-            # vertex in position 1, so the union over rootings is disjoint
-            for r in free.vertices():
-                rt = RootedTree.root_at(free, r)
-                for order in _root_first_orders(rt):
-                    yield Arrangement.from_vertex_order(order)
-        return gen_planar()
-    raise ValueError(f"unknown constraint: {constraint!r}")
+        orders = itertools.chain.from_iterable(
+            _projective_orders(RootedTree.root_at(free, r), pin_first=True)
+            for r in free.vertices())
+    else:
+        raise ValueError(f"unknown constraint: {constraint!r}")
+    return map(Arrangement.from_vertex_order, orders)
 
 
 def _sample_projective_order(rt: RootedTree, rng: random.Random,
                              pin_first: bool = False) -> list[int]:
     """Uniform projective order of rt; with pin_first, the root comes first.
-
-    The walk goes left to right with an explicit stack: a positive entry is
-    a vertex whose block is not yet ordered, a negative one a vertex to
-    place.  Each block is shuffled when the walk reaches it."""
-    out: list[int] = []
-    stack = [rt.root]
-    if pin_first:
-        kids = list(rt.children[rt.root])
-        rng.shuffle(kids)
-        out.append(rt.root)
-        stack = kids[::-1]
-    while stack:
-        v = stack.pop()
-        if v < 0:
-            out.append(-v)
-        else:
-            items = [-v, *rt.children[v]]
+    Each block is shuffled when the walk reaches it."""
+    def block(v):
+        if pin_first and v == rt.root:
+            items = list(rt.children[v])
             rng.shuffle(items)
-            stack += reversed(items)
-    return out
+            return [-v, *items]
+        items = [-v, *rt.children[v]]
+        rng.shuffle(items)
+        return items
+
+    return _projective_order(rt, block)
 
 
 def random_arrangement(t: Tree, constraint: str = "unconstrained",

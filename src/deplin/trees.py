@@ -43,9 +43,8 @@ class FreeTree:
     def from_edge_list(cls, n: int, edges: Iterable[tuple[int, int]]) -> "FreeTree":
         if n < 1:
             raise NotATreeError("a tree needs at least one vertex")
-        adj: list[list[int]] = [[] for _ in range(n + 1)]
+        edges = list(edges)
         seen: set[tuple[int, int]] = set()
-        count = 0
         for u, v in edges:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise OutOfRangeError(f"edge ({u}, {v}) out of range 1..{n}")
@@ -55,32 +54,35 @@ class FreeTree:
             if key in seen:
                 raise DuplicateEdgeError(f"duplicate edge {key}")
             seen.add(key)
-            adj[u].append(v)
-            adj[v].append(u)
-            count += 1
-        if count != n - 1:
-            raise NotATreeError(f"expected {n - 1} edges, got {count}")
+        if len(edges) != n - 1:
+            raise NotATreeError(f"expected {n - 1} edges, got {len(edges)}")
+        tree = cls._from_edges(n, edges)
         # n-1 edges without duplicates: connectivity <=> acyclicity
         reached = 1
         visited = bytearray(n + 1)
         visited[1] = 1
         stack = [1]
         while stack:
-            for w in adj[stack.pop()]:
+            for w in tree._adj[stack.pop()]:
                 if not visited[w]:
                     visited[w] = 1
                     reached += 1
                     stack.append(w)
         if reached != n:
             raise NotATreeError("edges do not form a connected tree")
-        return cls._from_adjacency(n, tuple(tuple(a) for a in adj))
+        return tree
 
     @classmethod
-    def _from_adjacency(cls, n: int, adj: tuple[tuple[int, ...], ...]) -> "FreeTree":
-        """Trusted constructor; `adj` must already satisfy all invariants."""
+    def _from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "FreeTree":
+        """Trusted constructor; `edges` must already form a tree on 1..n.
+        Each vertex lists its neighbours in edge order."""
+        adj: list[list[int]] = [[] for _ in range(n + 1)]
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
         self = object.__new__(cls)
         self.n = n
-        self._adj = adj
+        self._adj = tuple(tuple(a) for a in adj)
         return self
 
     def neighbors(self, v: int) -> tuple[int, ...]:
@@ -214,13 +216,7 @@ class RootedTree:
 
     def to_free(self) -> FreeTree:
         if self._free is None:
-            adj: list[list[int]] = [[] for _ in range(self.n + 1)]
-            for v in range(1, self.n + 1):
-                p = self.parent[v]
-                if p:
-                    adj[v].append(p)
-                    adj[p].append(v)
-            self._free = FreeTree._from_adjacency(self.n, tuple(tuple(a) for a in adj))
+            self._free = FreeTree._from_edges(self.n, self.edges())
         return self._free
 
     def _subtree_sizes(self) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -196,6 +196,17 @@ def test_isomorphic_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
+def test_isomorphic_malformed_line_exit_code(tmp_path, capsys):
+    # read as `analyze --policy fail` reads: a typed error naming the line
+    a = tmp_path / "a.hv"
+    b = tmp_path / "b.hv"
+    a.write_text("0 1\n0 1\n", encoding="utf-8")
+    b.write_text("0 1\nx\n", encoding="utf-8")
+    code, out, err = run_cli(["isomorphic", str(a), str(b)], capsys)
+    assert code == 1 and out == ""
+    assert "MalformedLineError" in err and "line 2" in err
+
+
 def test_convert_cli(tmp_path, capsys):
     src = tmp_path / "s.conllu"
     src.write_text(

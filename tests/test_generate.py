@@ -161,6 +161,9 @@ def test_num_arrangements_formulas():
             assert len(proj) == num_arrangements(t, "projective")
             assert all(num_crossings(free, a) == 0 for a in planar)
             assert all(classify_arrangement(t, a).projective for a in proj)
+            # distinct, counted and each a member: the whole set
+            assert len(set(planar)) == len(planar)
+            assert len(set(proj)) == len(proj)
 
 
 def test_exhaustive_arrangements_distinct():
@@ -174,6 +177,26 @@ def test_exhaustive_arrangements_size_limit():
     t = random_tree(LF, 12, random.Random(0))
     with pytest.raises(SizeLimitExceededError):
         list(exhaustive_arrangements(t, "unconstrained", max_n=10))
+
+
+# A 2 000-vertex path is twice the default recursion limit deep.
+@pytest.mark.parametrize("constraint", ["projective", "planar"])
+def test_exhaustive_arrangements_of_a_deep_tree(constraint):
+    t = scale_tree("path", 2000)
+    a = next(exhaustive_arrangements(t, constraint, max_n=t.n))
+    assert sorted(a.inverse[1:]) == list(range(1, t.n + 1))
+    assert num_crossings(t, a) == 0
+
+
+# A 13-vertex star has 13! (6.2e9) arrangements of each kind: the first comes
+# back at once only if the enumeration builds none of the others ahead.
+@pytest.mark.parametrize("constraint", ["unconstrained", "projective", "planar"])
+def test_exhaustive_arrangements_lazy(constraint):
+    t = scale_tree("star", 13)
+    start = time.perf_counter()
+    a = next(exhaustive_arrangements(t, constraint, max_n=t.n))
+    assert time.perf_counter() - start < 1.0
+    assert sorted(a.inverse[1:]) == list(range(1, t.n + 1))
 
 
 def test_random_arrangements_valid_and_uniform_small():
