@@ -90,7 +90,6 @@ def estimate_over_arrangements(
     mode: str = "exact",
     samples: int = 10**4,
     seed: Optional[int] = None,
-    max_items: int = DEFAULT_ARRANGEMENT_ITEMS,
 ) -> EstimationResult:
     """Average `metric` over the constrained arrangement ensemble of `t`."""
     feat = _metric_for_arrangements(metric)
@@ -98,9 +97,9 @@ def estimate_over_arrangements(
         raise KindMismatchError(f"metric {metric!r} requires a rooted tree")
     if mode == "exact":
         size = num_arrangements(t, constraint)
-        if size > max_items:
-            raise EnsembleTooLargeError(
-                f"ensemble of {size} arrangements exceeds bound {max_items}")
+        if size > DEFAULT_ARRANGEMENT_ITEMS:
+            raise EnsembleTooLargeError(f"ensemble of {size} arrangements exceeds "
+                                        f"bound {DEFAULT_ARRANGEMENT_ITEMS}")
         values = (feat.func(features.FeatureContext(t, a))
                   for a in exhaustive_arrangements(t, constraint, max_n=t.n))
         mean, var, count = _exact_moments(values)
@@ -123,7 +122,6 @@ def estimate_over_trees(
     mode: str = "exact",
     samples: int = 10**4,
     seed: Optional[int] = None,
-    max_items: int = DEFAULT_TREE_ITEMS,
 ) -> EstimationResult:
     """Average an order-independent `metric` over all n-vertex trees of `kind`."""
     (feat,) = features.resolve([metric])
@@ -133,9 +131,9 @@ def estimate_over_trees(
         raise KindMismatchError(f"metric {metric!r} requires a rooted tree kind")
     if mode == "exact":
         size = count_trees(kind, n)
-        if size > max_items:
+        if size > DEFAULT_TREE_ITEMS:
             raise EnsembleTooLargeError(
-                f"ensemble of {size} trees exceeds bound {max_items}")
+                f"ensemble of {size} trees exceeds bound {DEFAULT_TREE_ITEMS}")
         values = (feat.func(features.FeatureContext(t))
                   for t in exhaustive_trees(kind, n))
         mean, var, count = _exact_moments(values)

@@ -12,7 +12,7 @@ import random
 import sys
 
 from . import __version__, baselines, conllu, generate, isomorphism, linarr, treebank
-from .errors import DeplinError, UnknownMetricError
+from .errors import DeplinError, UnknownMetricError, _describe
 from .features import REGISTRY
 from .trees import FreeTree, RootedTree
 
@@ -35,7 +35,7 @@ def _threads(requested) -> int:
 
 
 def _add_common_analysis_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--features", help="comma-separated feature names (default: all non-expensive)")
+    p.add_argument("--features", help="comma-separated feature names (default: all but the opt-in ones)")
     p.add_argument("--policy", choices=("skip", "fail"), default="skip",
                    help="per-sentence error policy (default: skip)")
     p.add_argument("--threads", type=int, default=None,
@@ -241,7 +241,8 @@ def main(argv=None) -> int:
         print(f"registered features: {', '.join(sorted(REGISTRY))}", file=sys.stderr)
         return 2
     except DeplinError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        where = f"{exc._path}, line {exc.line_no}: " if exc._path else ""
+        print(f"error: {where}{_describe(exc)}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,6 +26,7 @@ from .errors import (
     MultipleRootsError,
     NonContiguousIdsError,
     TreeValidationError,
+    _describe,
 )
 from .treebank import _POLICIES, _write_lines
 from .trees import RootedTree
@@ -94,13 +95,11 @@ def _validate_sentence(tokens: list[ConlluToken], first_line: int) -> None:
     n = len(tokens)
     if [t.id for t in tokens] != list(range(1, n + 1)):
         raise NonContiguousIdsError(
-            f"token ids not contiguous 1..{n} in sentence starting at line {first_line}",
-            first_line)
+            f"token ids not contiguous 1..{n}", first_line)
     for t in tokens:
         if not (0 <= t.head <= n):
             raise HeadOutOfRangeError(
-                f"head {t.head} of token {t.id} out of range 0..{n} "
-                f"in sentence starting at line {first_line}", first_line)
+                f"head {t.head} of token {t.id} out of range 0..{n}", first_line)
 
 
 def _iter_records(path: str) -> Iterator[tuple[int, Optional[list[ConlluToken]], Optional[Exception]]]:
@@ -228,9 +227,12 @@ def convert(
                 except TreeValidationError as exc:
                     error = exc
             if error is not None:
+                # located at the sentence's first line; a malformed token's
+                # message names its own line
+                error.line_no, error._path = first_line, input_path
                 if error_policy == "fail_fast":
                     raise error
-                report.errored.append((first_line, str(error)))
+                report.errored.append((first_line, _describe(error)))
                 continue
             if heads is None:
                 report.filtered += 1

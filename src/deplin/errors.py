@@ -2,7 +2,11 @@
 
 
 class DeplinError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.  An error that a file reader found
+    carries the 1-based line of its sentence as `line_no`, and the file."""
+
+    line_no = None
+    _path = None
 
 
 class TreeValidationError(DeplinError, ValueError):
@@ -83,3 +87,8 @@ class NonContiguousIdsError(MalformedLineError):
 
 class HeadOutOfRangeError(MalformedLineError):
     pass
+
+
+def _describe(exc: Exception) -> str:
+    """The one form of every skip reason and error message: `<ErrorClass>: <message>`."""
+    return f"{type(exc).__name__}: {exc}"

@@ -7,9 +7,10 @@ the positioned edge list, the crossing count C, the arrangement flags, the
 flux profile and the tree-shape flags.  One crossing sweep over one edge
 list thus serves C, projective, planar and one_ec, and the same edge list
 serves D; the flux profile reads the tree and the positions directly.  A
-rooted tree memoizes its subtree-size pass, so flux, MHD and D_min_projective
-share one pass, and the degree features read degrees from the rooted tree
-without building its free tree.
+rooted tree memoizes its subtree-size pass, so MHD and D_min_projective
+share one pass, flux reads the vertex order the tree recorded when it was
+built, and the degree features read degrees from the rooted tree without
+building its free tree.
 Features that are undefined for a sentence (e.g. hubiness below n = 4)
 evaluate to None.
 """
@@ -71,7 +72,7 @@ class Feature:
     func: Callable[[FeatureContext], object]
     order_dependent: bool = False
     requires_rooted: bool = False
-    expensive: bool = False
+    opt_in: bool = False
 
 
 REGISTRY: dict[str, Feature] = {}
@@ -121,14 +122,14 @@ for _flag in ("linear", "star", "quasistar", "bistar", "caterpillar", "spider"):
 _register("D_min_projective",
           lambda ctx: linarr._min_projective_value(ctx.rooted), requires_rooted=True)
 _register("D_min_planar", lambda ctx: linarr.min_D_planar(ctx.tree).value,
-          expensive=True)
+          opt_in=True)
 _register("D_min_unconstrained",
-          lambda ctx: linarr.min_D_unconstrained(ctx.tree).value, expensive=True)
+          lambda ctx: linarr.min_D_unconstrained(ctx.tree).value, opt_in=True)
 
 
 def default_features() -> list[str]:
-    """All registered features except the expensive opt-in ones."""
-    return [name for name, f in REGISTRY.items() if not f.expensive]
+    """All registered features except the opt-in ones, which a caller names."""
+    return [name for name, f in REGISTRY.items() if not f.opt_in]
 
 
 def resolve(names) -> list[Feature]:

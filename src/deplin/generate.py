@@ -36,7 +36,7 @@ from math import factorial
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .errors import SizeLimitExceededError
-from .trees import Arrangement, FreeTree, RootedTree
+from .trees import Arrangement, FreeTree, RootedTree, _degrees
 
 Tree = Union[FreeTree, RootedTree]
 
@@ -209,7 +209,9 @@ def _rooted_from_levels(levels: list[int]) -> RootedTree:
             p = last_at_level[lev - 1]
             parent[i] = p
             children[p].append(i)
-    return RootedTree._from_parts(n, 1, tuple(parent), tuple(tuple(c) for c in children))
+    # a level sequence lists the vertices in preorder, each after its parent
+    return RootedTree._from_parts(n, 1, tuple(parent), tuple(tuple(c) for c in children),
+                                  range(1, n + 1))
 
 
 def _unlabeled_rooted_trees(n: int) -> Iterator[RootedTree]:
@@ -347,11 +349,10 @@ def num_arrangements(t: Tree, constraint: str = "unconstrained") -> int:
         # each vertex is first in prod_v deg(v)! planar arrangements: rooted
         # there, the root orders its deg(r) child blocks and every other
         # vertex v orders itself among its deg(v) - 1 child blocks
-        free = t.to_free()
         prod = 1
-        for v in free.vertices():
-            prod *= factorial(free.degree(v))
-        return free.n * prod
+        for d in _degrees(t):
+            prod *= factorial(d)
+        return t.n * prod
     raise ValueError(f"unknown constraint: {constraint!r}")
 
 

@@ -22,11 +22,8 @@ Tree = Union[FreeTree, RootedTree]
 def canonical_code(t: RootedTree) -> str:
     # each child's code is dropped once its parent's is built, so the codes
     # held at any time total O(n) characters rather than O(n * height)
-    topo = [t.root]
-    for v in topo:
-        topo.extend(t.children[v])
     code: dict[int, str] = {}
-    for v in reversed(topo):
+    for v in reversed(t._order):
         code[v] = "(" + "".join(sorted([code.pop(c) for c in t.children[v]])) + ")"
     return code[t.root]
 

@@ -160,7 +160,7 @@ def _flux(t: RootedTree, a: Arrangement) -> FluxProfile:
     weight = [0] * (n + 1)
     left = [0] * (n + 1)
     right = [0] * (n + 1)
-    for c in reversed(t._subtree_sizes()[0][1:]):
+    for c in reversed(t._order[1:]):
         p = parent[c]
         pc, pp = pos[c], pos[p]
         if pp < pc:

@@ -70,7 +70,7 @@ def centre(t: Tree) -> frozenset[int]:
     if n <= 2:
         return frozenset(free.vertices())
     # peel leaves layer by layer until 1 or 2 vertices remain
-    degree = [0] + [free.degree(v) for v in free.vertices()]
+    degree = _degrees(t)
     remaining = n
     layer = [v for v in free.vertices() if degree[v] == 1]
     removed = bytearray(n + 1)

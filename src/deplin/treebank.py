@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import features
-from .errors import DeplinError, MalformedLineError
+from .errors import DeplinError, MalformedLineError, _describe
 from .trees import Arrangement, RootedTree
 
 _POLICIES = ("fail_fast", "skip_and_report")
@@ -65,22 +65,18 @@ class TreebankSource:
                 line = line.strip()
                 if not line:
                     continue
+                heads = None
                 try:
-                    heads = tuple(map(int, line.split()))
-                except ValueError:
-                    err: Exception = MalformedLineError(
-                        f"non-integer token on line {line_no}", line_no)
-                    if self.error_policy == "fail_fast":
-                        raise err
-                    yield SentenceRecord(line_no, None, None, str(err))
-                    continue
-                try:
+                    try:
+                        heads = tuple(map(int, line.split()))
+                    except ValueError:
+                        raise MalformedLineError("non-integer token") from None
                     tree = RootedTree.from_head_vector(heads)
                 except DeplinError as exc:
+                    exc.line_no, exc._path = line_no, self.path
                     if self.error_policy == "fail_fast":
                         raise
-                    yield SentenceRecord(line_no, heads, None,
-                                         f"{type(exc).__name__}: {exc}")
+                    yield SentenceRecord(line_no, heads, None, _describe(exc))
                     continue
                 yield SentenceRecord(line_no, heads, tree)
 

@@ -2,7 +2,10 @@
 
 Vertices are identified by sentence position, i.e. the integers 1..n, in every
 public interface.  All types are immutable after construction; constructors
-validate eagerly so downstream algorithms can rely on tree invariants.
+validate eagerly so downstream algorithms can rely on tree invariants.  A
+rooted tree keeps the parents-first vertex order of the walk that built it,
+and subtree sizes, depths and canonical codes read that order instead of
+walking the tree again.
 """
 
 from __future__ import annotations
@@ -58,17 +61,7 @@ class FreeTree:
             raise NotATreeError(f"expected {n - 1} edges, got {len(edges)}")
         tree = cls._from_edges(n, edges)
         # n-1 edges without duplicates: connectivity <=> acyclicity
-        reached = 1
-        visited = bytearray(n + 1)
-        visited[1] = 1
-        stack = [1]
-        while stack:
-            for w in tree._adj[stack.pop()]:
-                if not visited[w]:
-                    visited[w] = 1
-                    reached += 1
-                    stack.append(w)
-        if reached != n:
+        if len(RootedTree.root_at(tree, 1)._order) != n:
             raise NotATreeError("edges do not form a connected tree")
         return tree
 
@@ -125,14 +118,18 @@ class FreeTree:
 
 
 class RootedTree:
-    """A free tree with a designated root and parent/child orientation."""
+    """A free tree with a designated root and parent/child orientation.
 
-    __slots__ = ("n", "root", "parent", "children", "_free", "_sizes")
+    It keeps the order in which the walk that built it reached the vertices,
+    parents before children, for every pass that needs such an order."""
+
+    __slots__ = ("n", "root", "parent", "children", "_order", "_free", "_sizes")
 
     def __init__(self, free: FreeTree, root: int):
         t = RootedTree.root_at(free, root)
         self.n, self.root = t.n, t.root
         self.parent, self.children = t.parent, t.children
+        self._order = t._order
         self._free = t._free
         self._sizes = None
 
@@ -144,29 +141,30 @@ class RootedTree:
         adj = free._adj
         parent = [0] * (n + 1)
         children: list[tuple[int, ...]] = [()] * (n + 1)
-        stack = [r]
+        order = [r]
         visited = bytearray(n + 1)
         visited[r] = 1
-        while stack:
-            v = stack.pop()
+        for v in order:
             kids = []
             for w in adj[v]:
                 if not visited[w]:
                     visited[w] = 1
                     parent[w] = v
                     kids.append(w)
-                    stack.append(w)
             children[v] = tuple(kids)
-        return cls._from_parts(n, r, tuple(parent), tuple(children), free)
+            order += kids
+        return cls._from_parts(n, r, tuple(parent), tuple(children), tuple(order), free)
 
     @classmethod
-    def _from_parts(cls, n, root, parent, children, free=None) -> "RootedTree":
-        """Trusted constructor for internal use."""
+    def _from_parts(cls, n, root, parent, children, order, free=None) -> "RootedTree":
+        """Trusted constructor for internal use; `order` lists the vertices
+        reached from the root, each after its parent."""
         self = object.__new__(cls)
         self.n = n
         self.root = root
         self.parent = parent
         self.children = children
+        self._order = order
         self._free = free
         self._sizes = None
         return self
@@ -196,17 +194,13 @@ class RootedTree:
             if hi:
                 children[hi].append(i)
         # the edge multiset has n-1 edges; reachability from root <=> tree
-        reached = 1
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w in children[v]:
-                reached += 1
-                stack.append(w)
-        if reached != n:
+        order = [root]
+        for v in order:
+            order += children[v]
+        if len(order) != n:
             raise CycleError("head vector contains a cycle")
-        parent = (0,) + h
-        return cls._from_parts(n, root, parent, tuple(tuple(c) for c in children))
+        return cls._from_parts(n, root, (0,) + h, tuple(tuple(c) for c in children),
+                               tuple(order))
 
     def to_head_vector(self) -> tuple[int, ...]:
         return self.parent[1:]
@@ -219,19 +213,16 @@ class RootedTree:
             self._free = FreeTree._from_edges(self.n, self.edges())
         return self._free
 
-    def _subtree_sizes(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """A parents-before-children vertex order and every subtree's size
-        (index 0 holds 0), computed once per tree."""
+    def _subtree_sizes(self) -> tuple[Sequence[int], tuple[int, ...]]:
+        """The parents-before-children vertex order and every subtree's size
+        (index 0 holds 0), the sizes computed once per tree."""
         if self._sizes is None:
-            children, parent = self.children, self.parent
-            topo = [self.root]
-            for v in topo:
-                topo.extend(children[v])
+            parent = self.parent
             size = [1] * (self.n + 1)
             size[0] = 0
-            for v in reversed(topo[1:]):
+            for v in reversed(self._order[1:]):
                 size[parent[v]] += size[v]
-            self._sizes = (tuple(topo), tuple(size))
+            self._sizes = (self._order, tuple(size))
         return self._sizes
 
     def num_children(self, v: int) -> int:
@@ -240,12 +231,9 @@ class RootedTree:
     def depths(self) -> tuple[int, ...]:
         """Depth of every vertex, root at 0; index 0 unused."""
         depth = [0] * (self.n + 1)
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            for w in self.children[v]:
-                depth[w] = depth[v] + 1
-                stack.append(w)
+        parent = self.parent
+        for v in self._order[1:]:
+            depth[v] = depth[parent[v]] + 1
         return tuple(depth)
 
     def edges(self) -> Iterator[tuple[int, int]]:

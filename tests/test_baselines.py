@@ -4,13 +4,14 @@ from fractions import Fraction
 import pytest
 
 from deplin import (
+    baselines,
     estimate_over_arrangements,
     estimate_over_trees,
     expected_C_unconstrained,
     expected_D_unconstrained,
     from_head_vector,
 )
-from deplin.errors import KindMismatchError, UnknownMetricError
+from deplin.errors import EnsembleTooLargeError, KindMismatchError, UnknownMetricError
 from deplin.generate import TreeKind, exhaustive_trees
 
 import oracles
@@ -96,6 +97,19 @@ def test_estimate_over_trees_exact():
     res = estimate_over_trees(TreeKind.parse("labeled-free"), 4, "Q", mode="exact")
     assert res.mean == Fraction(12, 16)
     assert res.samples == 16
+
+
+def test_exact_ensembles_beyond_the_bounds_raise_before_enumerating(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("enumerated an ensemble beyond its bound")
+
+    monkeypatch.setattr(baselines, "exhaustive_arrangements", forbidden)
+    monkeypatch.setattr(baselines, "exhaustive_trees", forbidden)
+    path = from_head_vector(" ".join(map(str, range(11))))
+    with pytest.raises(EnsembleTooLargeError):  # 11! = 39 916 800 > 10**7
+        estimate_over_arrangements(path, "D", mode="exact")
+    with pytest.raises(EnsembleTooLargeError):  # 9**7 = 4 782 969 > 10**6
+        estimate_over_trees(TreeKind.parse("labeled-free"), 9, "Q", mode="exact")
 
 
 def test_estimate_over_trees_order_dependent_rejected():

@@ -80,6 +80,36 @@ def test_analyze_fail_policy_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    "analyze", "analyze-threads-2", "collection", "isomorphic", "convert"])
+def test_fail_fast_error_names_its_file_and_line(tmp_path, capsys, command):
+    # the error keeps its class; the file and the line are printed once
+    bad = tmp_path / "bad.hv"
+    bad.write_text("0 1\n0 0\n", encoding="utf-8")
+    (tmp_path / "c.txt").write_text("bad.hv\n", encoding="utf-8")
+    (tmp_path / "ok.hv").write_text("0 1\n0 1\n", encoding="utf-8")
+    src = tmp_path / "cycle.conllu"
+    src.write_text(  # lines 1-2, then a head cycle on lines 3-4
+        "1\ta\ta\tNOUN\t_\t_\t0\troot\t_\t_\n\n"
+        "1\ta\ta\tNOUN\t_\t_\t2\tdep\t_\t_\n"
+        "2\tb\tb\tNOUN\t_\t_\t1\tdep\t_\t_\n\n", encoding="utf-8")
+    out = str(tmp_path / "out")
+    fail = ["--policy", "fail"]
+    roots = f"{bad}, line 2: MultipleRootsError: second root at position 2"
+    args, expected = {
+        "analyze": (["analyze", str(bad), out, *fail, "--threads", "1"], roots),
+        "analyze-threads-2": (["analyze", str(bad), out, *fail, "--threads", "2"], roots),
+        "collection": (["collection", str(tmp_path / "c.txt"), "--merge-out", out,
+                        *fail, "--threads", "1"], roots),
+        "isomorphic": (["isomorphic", str(tmp_path / "ok.hv"), str(bad)], roots),
+        "convert": (["convert", str(src), out, *fail], f"{src}, line 3: CycleError: "
+                    "no retained token reaches the root: cycle in head chain"),
+    }[command]
+    code, _, err = run_cli(args, capsys)
+    assert code == 1
+    assert err == f"error: {expected}\n"
+
+
 @pytest.mark.parametrize("threads", ["0", "-4"])
 def test_threads_below_one_is_usage_error(tmp_path, capsys, monkeypatch, threads):
     src = tmp_path / "t.hv"
@@ -159,6 +189,14 @@ def test_baseline_estimate(capsys):
         ["baseline", "--tree", "0 1 2 2", "--what", "estimate", "--metric", "D",
          "--mode", "monte_carlo", "--samples", "500", "--seed", "9"], capsys)
     assert code == 0 and "seed=9" in out
+
+
+def test_exact_estimate_beyond_the_ensemble_bound_fails(capsys):
+    # 11! = 39 916 800 arrangements exceed the bound of 10**7
+    code, out, err = run_cli(["baseline", "--tree", "0 1 2 3 4 5 6 7 8 9 10",
+                              "--what", "estimate", "--metric", "D"], capsys)
+    assert code == 1 and out == ""
+    assert "EnsembleTooLargeError" in err
 
 
 @pytest.mark.parametrize("mode", ["exact", "monte_carlo"])

@@ -119,7 +119,7 @@ def test_convert_end_to_end(tmp_path):
     assert out.read_text(encoding="utf-8") == "2 0\n0\n"
     assert report.converted == 2
     assert report.filtered == 0
-    assert len(report.errored) == 1
+    assert report.errored == [(7, "HeadOutOfRangeError: head 5 of token 1 out of range 0..1")]
 
     report = convert(str(src), str(tmp_path / "out2.hv"),
                      PreprocessOptions(remove_punct=True, min_len=2))
@@ -128,8 +128,9 @@ def test_convert_end_to_end(tmp_path):
     # a failing conversion leaves the previous output as it was, and no temporary file
     out3 = tmp_path / "out3.hv"
     out3.write_bytes(b"old content\n")
-    with pytest.raises(HeadOutOfRangeError):
+    with pytest.raises(HeadOutOfRangeError) as info:
         convert(str(src), str(out3), PreprocessOptions(), error_policy="fail_fast")
+    assert info.value.line_no == 7
     assert out3.read_bytes() == b"old content\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "in.conllu", "out.hv", "out2.hv", "out3.hv"]
@@ -163,6 +164,7 @@ def test_no_reachable_root_is_a_cycle_error(tmp_path):
     assert out.read_text(encoding="utf-8") == "0\n"
     assert report.converted == 1
     assert [line_no for line_no, _ in report.errored] == [1, 4]
+    assert all(reason.startswith("CycleError: ") for _, reason in report.errored)
 
 
 def test_multiple_roots_rejected_before_removal(tmp_path):
@@ -184,6 +186,7 @@ def test_multiple_roots_rejected_before_removal(tmp_path):
     assert out.read_text(encoding="utf-8") == "0\n"
     assert report.converted == 1
     assert [line_no for line_no, _ in report.errored] == [1]
+    assert report.errored[0][1].startswith("MultipleRootsError: ")
     assert "HEAD 0" in report.errored[0][1]
     with pytest.raises(MultipleRootsError):
         convert(str(src), str(out), error_policy="fail_fast")

@@ -23,13 +23,16 @@ def test_read_fixture_sizes(treebank_file):
 
 def test_skip_and_report(tmp_path):
     p = tmp_path / "bad.hv"
-    p.write_text("0 1\n0 0 1\n0 1 2\n", encoding="utf-8")
+    p.write_text("0 1\n0 0 1\n0 1 2\n0 x\n", encoding="utf-8")
     recs = list(read_head_vectors(str(p), error_policy="skip_and_report"))
     assert [r.tree.n for r in recs if r.error is None] == [2, 3]
-    bad = [r for r in recs if r.error is not None]
-    assert len(bad) == 1 and bad[0].line_no == 2 and "MultipleRoots" in bad[0].error
-    with pytest.raises(MultipleRootsError):
+    # every reason is "<ErrorClass>: <message>", the line kept beside it
+    assert [(r.line_no, r.error) for r in recs if r.error is not None] == [
+        (2, "MultipleRootsError: second root at position 2"),
+        (4, "MalformedLineError: non-integer token")]
+    with pytest.raises(MultipleRootsError) as info:
         list(read_head_vectors(str(p), error_policy="fail_fast"))
+    assert info.value.line_no == 2
 
 
 def test_blank_lines_ignored(tmp_path):
@@ -166,9 +169,10 @@ def test_fail_fast_leaves_output_untouched(tmp_path, threads):
     src.write_text("\n".join(["0 1 1 2"] * 200 + ["0 0 1"]) + "\n", encoding="utf-8")
     out = tmp_path / "out.csv"
     out.write_text("previous\n", encoding="utf-8")
-    with pytest.raises(MultipleRootsError):
+    with pytest.raises(MultipleRootsError) as info:
         process_treebank(str(src), str(out), ["D"], error_policy="fail_fast",
                          threads=threads)
+    assert info.value.line_no == 201
     assert out.read_text(encoding="utf-8") == "previous\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.hv", "out.csv"]
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import deplin
@@ -10,12 +12,14 @@ from deplin import (
     OutOfRangeError,
     RootedTree,
     SelfHeadError,
+    canonical_code,
     from_edge_list,
     from_head_vector,
     parse_head_vector,
     to_head_vector,
 )
 from deplin.errors import DuplicateEdgeError, NotATreeError, SelfLoopError
+from deplin.generate import TreeKind, exhaustive_trees, random_tree
 
 import oracles
 
@@ -83,6 +87,8 @@ def test_edge_list_construction():
         from_edge_list(3, [(1, 2), (2, 1), (2, 3)])
     with pytest.raises(NotATreeError):
         from_edge_list(4, [(1, 2), (2, 3)])  # disconnected: missing vertex 4
+    with pytest.raises(NotATreeError):  # n - 1 edges: {1, 2} and the cycle 3-4-5
+        from_edge_list(5, [(1, 2), (3, 4), (4, 5), (3, 5)])
     with pytest.raises(OutOfRangeError):
         from_edge_list(2, [(1, 5)])
 
@@ -124,3 +130,39 @@ def test_arrangement_basics():
         Arrangement([1, 1, 2])
     with pytest.raises(Exception):
         Arrangement([1, 3])
+
+
+def _assert_parents_first(t):
+    position = {v: i for i, v in enumerate(t._order)}
+    assert sorted(position) == list(t.vertices())
+    assert t._order[0] == t.root
+    assert all(position[t.parent[v]] < position[v] for v in t.vertices() if v != t.root)
+
+
+def test_every_constructor_records_a_parents_first_order():
+    rng = random.Random(5)
+    for n in range(1, 6):
+        for hv in oracles.all_head_vectors(n):
+            _assert_parents_first(from_head_vector(hv))
+        for t in exhaustive_trees(TreeKind.parse("labeled-rooted"), n):  # root_at
+            _assert_parents_first(t)
+    for n in range(1, 9):
+        for t in exhaustive_trees(TreeKind.parse("unlabeled-rooted"), n):  # level sequences
+            _assert_parents_first(t)
+    for _ in range(200):
+        n = rng.randint(1, 40)
+        free = random_tree(TreeKind.parse("labeled-free"), n, rng)
+        _assert_parents_first(RootedTree(free, rng.randint(1, n)))
+        _assert_parents_first(random_tree(TreeKind.parse("unlabeled-rooted"), n, rng))
+
+
+def test_long_path_through_every_order_reader():
+    n = 10_000
+    edges = [(v, v + 1) for v in range(1, n)]
+    random.Random(3).shuffle(edges)
+    rooted = from_edge_list(n, edges).root_at(1)
+    assert rooted.parent == (0, 0, *range(1, n))
+    t = from_head_vector(rooted.to_head_vector())
+    assert t._order == tuple(range(1, n + 1))
+    assert t.depths() == (0, *range(n))
+    assert canonical_code(t) == "(" * n + ")" * n
