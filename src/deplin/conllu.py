@@ -5,6 +5,10 @@ token lines (`a-b` ids) and empty-node lines (`a.b` ids) are skipped.  Token
 lines must have exactly 10 tab-separated columns.  Only ID, UPOS and HEAD are
 interpreted; the remaining columns are carried through unchanged.
 
+`parse_conllu` and `convert` share one reader, which yields each block of
+non-comment lines with their line numbers, and one function that parses and
+validates a block's tokens; a block of only ranges and empty nodes is skipped.
+
 Preprocessing can drop punctuation and function words (dependents of a
 removed token are re-attached to its nearest retained ancestor; a removed
 root is replaced by its leftmost retained dependent) and filter sentences by
@@ -21,12 +25,12 @@ from typing import Iterator, Optional
 
 from .errors import (
     CycleError,
+    DeplinError,
     HeadOutOfRangeError,
     MalformedLineError,
     MultipleRootsError,
     NonContiguousIdsError,
-    TreeValidationError,
-    _describe,
+    _skip_or_fail,
 )
 from .treebank import _POLICIES, _write_lines
 from .trees import RootedTree
@@ -72,26 +76,41 @@ class ConversionReport:
     output_path: Optional[str] = None
 
 
-def _parse_token(line: str, line_no: int) -> Optional[ConlluToken]:
-    cols = line.split("\t")
-    if len(cols) != 10:
-        raise MalformedLineError(
-            f"expected 10 tab-separated columns, got {len(cols)} on line {line_no}",
-            line_no)
-    tok_id = cols[0]
-    if "-" in tok_id or "." in tok_id:
-        return None  # multiword-token range or empty node
-    try:
-        idx = int(tok_id)
-        head = int(cols[6])
-    except ValueError:
-        raise MalformedLineError(
-            f"non-integer ID or HEAD on line {line_no}", line_no) from None
-    return ConlluToken(idx, cols[1], cols[2], cols[3], cols[4], cols[5],
-                       head, cols[7], cols[8], cols[9])
+def _blocks(path: str) -> Iterator[tuple[int, list[tuple[int, str]]]]:
+    """Yield each blank-line-delimited block of non-comment lines as
+    (line number of its first line, [(line number, text), ...])."""
+    block: list[tuple[int, str]] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip("\r\n")
+            if not line.strip():
+                if block:
+                    yield block[0][0], block
+                    block = []
+            elif not line.startswith("#"):
+                block.append((line_no, line))
+    if block:
+        yield block[0][0], block
 
 
-def _validate_sentence(tokens: list[ConlluToken], first_line: int) -> None:
+def _sentence(first_line: int, block: list[tuple[int, str]]) -> list[ConlluToken]:
+    """The tokens of one block, validated.  A malformed token line raises at its
+    own line; ids or heads that do not form a sentence raise at `first_line`."""
+    tokens = []
+    for line_no, line in block:
+        cols = line.split("\t")
+        if len(cols) != 10:
+            raise MalformedLineError(
+                f"expected 10 tab-separated columns, got {len(cols)} on line {line_no}",
+                line_no)
+        if "-" in cols[0] or "." in cols[0]:
+            continue  # multiword-token range or empty node
+        try:
+            idx, head = int(cols[0]), int(cols[6])
+        except ValueError:
+            raise MalformedLineError(
+                f"non-integer ID or HEAD on line {line_no}", line_no) from None
+        tokens.append(ConlluToken(idx, *cols[1:6], head, *cols[7:]))
     n = len(tokens)
     if [t.id for t in tokens] != list(range(1, n + 1)):
         raise NonContiguousIdsError(
@@ -100,45 +119,15 @@ def _validate_sentence(tokens: list[ConlluToken], first_line: int) -> None:
         if not (0 <= t.head <= n):
             raise HeadOutOfRangeError(
                 f"head {t.head} of token {t.id} out of range 0..{n}", first_line)
-
-
-def _iter_records(path: str) -> Iterator[tuple[int, Optional[list[ConlluToken]], Optional[Exception]]]:
-    """Yield (first_line_no, tokens, error) per sentence; errors do not stop the stream."""
-    tokens: list[ConlluToken] = []
-    first_line = 0
-    error: Optional[Exception] = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                if tokens or error:
-                    yield (first_line, None if error else tokens, error)
-                tokens, first_line, error = [], 0, None
-                continue
-            if line.startswith("#"):
-                continue
-            if error is not None:
-                continue  # sentence already failed; consume until blank line
-            if not first_line:
-                first_line = line_no
-            try:
-                tok = _parse_token(line, line_no)
-            except MalformedLineError as exc:
-                error = exc
-                continue
-            if tok is not None:
-                tokens.append(tok)
-        if tokens or error:
-            yield (first_line, None if error else tokens, error)
+    return tokens
 
 
 def parse_conllu(path: str) -> Iterator[list[ConlluToken]]:
     """Iterate sentences, raising on the first malformed one."""
-    for first_line, tokens, error in _iter_records(path):
-        if error is not None:
-            raise error
-        _validate_sentence(tokens, first_line)
-        yield tokens
+    for first_line, block in _blocks(path):
+        tokens = _sentence(first_line, block)
+        if tokens:  # a block of only ranges and empty nodes is no sentence
+            yield tokens
 
 
 def preprocess(tokens: list[ConlluToken],
@@ -151,15 +140,11 @@ def preprocess(tokens: list[ConlluToken],
     if len(roots) > 1:
         raise MultipleRootsError(f"tokens {roots[0]} and {roots[1]} both have HEAD 0")
 
-    def keep(t: ConlluToken) -> bool:
-        if opts.remove_punct and t.upos == "PUNCT":
-            return False
-        if opts.remove_function_words and t.upos in opts.function_word_upos:
-            return False
-        return True
-
+    removed = {"PUNCT"} if opts.remove_punct else set()
+    if opts.remove_function_words:
+        removed.update(opts.function_word_upos)
     head_of = {t.id: t.head for t in tokens}
-    kept = [t for t in tokens if keep(t)]
+    kept = [t for t in tokens if t.upos not in removed]
     if not kept:
         return None
     kept_ids = {t.id for t in kept}
@@ -215,30 +200,23 @@ def convert(
     report = ConversionReport()
 
     def lines() -> Iterator[str]:
-        for first_line, tokens, error in _iter_records(input_path):
-            if error is None:
-                try:
-                    _validate_sentence(tokens, first_line)
-                except MalformedLineError as exc:
-                    error = exc
-            if error is None:
-                try:
-                    heads = preprocess(tokens, opts)
-                except TreeValidationError as exc:
-                    error = exc
-            if error is not None:
+        for first_line, block in _blocks(input_path):
+            try:
+                tokens = _sentence(first_line, block)
+                if not tokens:
+                    continue
+                heads = preprocess(tokens, opts)
+            except DeplinError as exc:
                 # located at the sentence's first line; a malformed token's
                 # message names its own line
-                error.line_no, error._path = first_line, input_path
-                if error_policy == "fail_fast":
-                    raise error
-                report.errored.append((first_line, _describe(error)))
+                report.errored.append((first_line, _skip_or_fail(
+                    exc, first_line, input_path, error_policy)))
                 continue
             if heads is None:
                 report.filtered += 1
                 continue
             report.converted += 1
-            yield " ".join(str(h) for h in heads)
+            yield " ".join(map(str, heads))
 
     _write_lines(output_path, lines())
     report.elapsed = time.perf_counter() - started

@@ -92,3 +92,12 @@ class HeadOutOfRangeError(MalformedLineError):
 def _describe(exc: Exception) -> str:
     """The one form of every skip reason and error message: `<ErrorClass>: <message>`."""
     return f"{type(exc).__name__}: {exc}"
+
+
+def _skip_or_fail(exc: DeplinError, line_no: int, path: str, error_policy: str) -> str:
+    """Locate an invalid sentence's error at `line_no` of `path`; raise it
+    under "fail_fast", otherwise return its skip reason."""
+    exc.line_no, exc._path = line_no, path
+    if error_policy == "fail_fast":
+        raise exc
+    return _describe(exc)

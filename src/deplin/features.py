@@ -121,7 +121,8 @@ for _flag in ("linear", "star", "quasistar", "bistar", "caterpillar", "spider"):
               (lambda fl: lambda ctx: int(getattr(ctx.shape, fl)))(_flag))
 _register("D_min_projective",
           lambda ctx: linarr._min_projective_value(ctx.rooted), requires_rooted=True)
-_register("D_min_planar", lambda ctx: linarr.min_D_planar(ctx.tree).value,
+_register("D_min_planar",
+          lambda ctx: linarr._min_projective_value(linarr._centroid_rooted(ctx.tree)),
           opt_in=True)
 _register("D_min_unconstrained",
           lambda ctx: linarr.min_D_unconstrained(ctx.tree).value, opt_in=True)

@@ -222,7 +222,7 @@ def flux(t: Tree, a: Arrangement) -> FluxProfile:
 
 def _min_projective_value(t: RootedTree) -> int:
     """Exact projective minimum of D, from the closed form above."""
-    size = t._subtree_sizes()[1]
+    size = t._subtree_sizes()
     value = t.n - 1
     root = t.root
     for v, kids in enumerate(t.children):
@@ -241,13 +241,13 @@ def _min_projective_value(t: RootedTree) -> int:
 def _min_projective(t: RootedTree) -> list[int]:
     """A projective arrangement of minimum D, as a position list (index 0 unused)."""
     children = t.children
-    topo, size = t._subtree_sizes()
+    size = t._subtree_sizes()
     lo = [0] * (t.n + 1)  # first position of each subtree's interval
     # whether each vertex's parent lies to its left; the root's side is arbitrary
     parent_left = [True] * (t.n + 1)
     lo[t.root] = 1
     pos = [0] * (t.n + 1)
-    for v in topo:
+    for v in t._order:
         kids = children[v]
         if not kids:  # a leaf fills its one-position interval
             pos[v] = lo[v]
@@ -273,8 +273,13 @@ def min_D_projective(t: RootedTree) -> MinArrangementResult:
     return MinArrangementResult(_min_projective_value(t), Arrangement(_min_projective(t)[1:]))
 
 
+def _centroid_rooted(t: Tree) -> RootedTree:
+    """The tree rooted at a centroid, where the planar minimum is the projective one."""
+    return RootedTree.root_at(t.to_free(), min(properties.centroid(t)))
+
+
 def min_D_planar(t: Tree) -> MinArrangementResult:
-    return min_D_projective(RootedTree.root_at(t.to_free(), min(properties.centroid(t))))
+    return min_D_projective(_centroid_rooted(t))
 
 
 def min_D_unconstrained(t: Tree) -> MinArrangementResult:

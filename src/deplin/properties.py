@@ -60,7 +60,7 @@ def mean_hierarchical_distance(t: RootedTree) -> Fraction:
     the non-root subtrees."""
     if t.n < 2:
         raise NoEdgesError("MHD undefined on a single vertex")
-    return Fraction(sum(t._subtree_sizes()[1]) - t.n, t.n - 1)
+    return Fraction(sum(t._subtree_sizes()) - t.n, t.n - 1)
 
 
 def centre(t: Tree) -> frozenset[int]:
@@ -96,8 +96,8 @@ def centroid(t: Tree) -> frozenset[int]:
     adjacent ones.  Only vertices on the path of subtrees with at least n/2
     vertices, which starts at the root, pass the first test."""
     rt = t if isinstance(t, RootedTree) else RootedTree.root_at(t, 1)
-    topo, size = rt._subtree_sizes()
-    return frozenset(v for v in topo if 2 * size[v] >= rt.n
+    size = rt._subtree_sizes()
+    return frozenset(v for v in rt._order if 2 * size[v] >= rt.n
                      and all(2 * size[c] <= rt.n for c in rt.children[v]))
 
 

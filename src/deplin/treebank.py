@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import features
-from .errors import DeplinError, MalformedLineError, _describe
+from .errors import DeplinError, MalformedLineError, _skip_or_fail
 from .trees import Arrangement, RootedTree
 
 _POLICIES = ("fail_fast", "skip_and_report")
@@ -62,21 +62,19 @@ class TreebankSource:
     def __iter__(self) -> Iterator[SentenceRecord]:
         with open(self.path, "r", encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
+                words = line.split()
+                if not words:
                     continue
                 heads = None
                 try:
                     try:
-                        heads = tuple(map(int, line.split()))
+                        heads = tuple(map(int, words))
                     except ValueError:
                         raise MalformedLineError("non-integer token") from None
                     tree = RootedTree.from_head_vector(heads)
                 except DeplinError as exc:
-                    exc.line_no, exc._path = line_no, self.path
-                    if self.error_policy == "fail_fast":
-                        raise
-                    yield SentenceRecord(line_no, heads, None, _describe(exc))
+                    yield SentenceRecord(line_no, heads, None, _skip_or_fail(
+                        exc, line_no, self.path, self.error_policy))
                     continue
                 yield SentenceRecord(line_no, heads, tree)
 
@@ -129,10 +127,14 @@ def _normalized_features(feature_names: Optional[Sequence[str]]) -> list[str]:
     return names
 
 
-def _rows(source: TreebankSource, names: list[str], exact: bool, threads: int,
-          report: ProcessingReport) -> Iterator[str]:
-    """Stream a treebank's CSV rows in input order, counting into `report`.
-    With a pool, `trees` runs in its task thread; counts are final after the last row."""
+def _rows(path: str, output_path: str, names: list[str], exact: bool, threads: int,
+          error_policy: str) -> tuple[ProcessingReport, Iterator[str]]:
+    """The one stream of a treebank file's CSV rows, in input order, and the
+    report it fills: counts and `elapsed` are final after the last row.  With
+    a pool, `trees` runs in its task thread."""
+    source = read_head_vectors(path, error_policy)
+    report = ProcessingReport(output_path=output_path)
+
     def trees() -> Iterator[tuple[int, RootedTree]]:
         for sentence_id, rec in enumerate(source, start=1):
             if rec.error is not None:
@@ -141,13 +143,18 @@ def _rows(source: TreebankSource, names: list[str], exact: bool, threads: int,
             report.processed += 1
             yield sentence_id, rec.tree
 
-    row = functools.partial(_row, tuple(names), exact)
-    if threads == 1:
-        yield from map(row, trees())
-    else:
-        import multiprocessing
-        with multiprocessing.Pool(threads) as pool:
-            yield from pool.imap(row, trees(), chunksize=64)
+    def rows() -> Iterator[str]:
+        started = time.perf_counter()
+        row = functools.partial(_row, tuple(names), exact)
+        if threads == 1:
+            yield from map(row, trees())
+        else:
+            import multiprocessing
+            with multiprocessing.Pool(threads) as pool:
+                yield from pool.imap(row, trees(), chunksize=64)
+        report.elapsed = time.perf_counter() - started
+
+    return report, rows()
 
 
 def _write_lines(path: str, lines: Iterable[str]) -> None:
@@ -178,36 +185,37 @@ def process_treebank(
     threads: int = 1,
 ) -> ProcessingReport:
     """Compute the requested features for every sentence into a CSV file."""
-    started = time.perf_counter()
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     names = _normalized_features(feature_names)
-    source = read_head_vectors(input_path, error_policy)
-    report = ProcessingReport(output_path=output_path)
-    header = ",".join(["sentence_id", "n", *names])
-    _write_lines(output_path, itertools.chain([header],
-                                              _rows(source, names, exact, threads, report)))
-    report.elapsed = time.perf_counter() - started
+    report, rows = _rows(input_path, output_path, names, exact, threads, error_policy)
+    _write_lines(output_path, itertools.chain([",".join(["sentence_id", "n", *names])], rows))
     return report
 
 
 def _collection_members(list_path: str, error_policy: str,
-                        missing: list[str]) -> list[tuple[str, str]]:
-    """(stem, path) of each listed member that exists; the others go to `missing`."""
+                        missing: list[str]) -> dict[str, str]:
+    """The path of each listed member that exists, by its stem; the others go
+    to `missing`.  Two members with one stem would write one output, so they
+    are rejected before anything is written."""
     base = os.path.dirname(os.path.abspath(list_path))
-    members = []
+    members: dict[str, str] = {}
     with open(list_path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             path = line if os.path.isabs(line) else os.path.join(base, line)
-            if os.path.exists(path):
-                members.append((os.path.splitext(os.path.basename(path))[0], path))
-            elif error_policy == "fail_fast":
-                raise FileNotFoundError(path)
-            else:
+            if not os.path.exists(path):
+                if error_policy == "fail_fast":
+                    raise FileNotFoundError(path)
                 missing.append(path)
+                continue
+            stem = os.path.splitext(os.path.basename(path))[0]
+            if stem in members:
+                raise ValueError(f"collection members {members[stem]} and {path} "
+                                 f"share the name {stem!r}")
+            members[stem] = path
     return members
 
 
@@ -236,7 +244,7 @@ def process_collection(
     names = _normalized_features(feature_names)
     if output_dir is not None:
         os.makedirs(output_dir, exist_ok=True)
-        for stem, member in members:
+        for stem, member in members.items():
             collection.reports.append((stem, process_treebank(
                 member, os.path.join(output_dir, stem + ".csv"), names,
                 error_policy=error_policy, exact=exact, threads=threads)))
@@ -244,14 +252,11 @@ def process_collection(
 
     def merged_lines() -> Iterator[str]:
         yield ",".join(["treebank", "sentence_id", "n", *names])
-        for stem, member in members:
-            started = time.perf_counter()
-            report = ProcessingReport(output_path=merge_out)
+        for stem, member in members.items():
+            report, rows = _rows(member, merge_out, names, exact, threads, error_policy)
             collection.reports.append((stem, report))
-            for row in _rows(TreebankSource(member, error_policy), names, exact,
-                             threads, report):
+            for row in rows:
                 yield f"{stem},{row}"
-            report.elapsed = time.perf_counter() - started
 
     _write_lines(merge_out, merged_lines())
     return collection

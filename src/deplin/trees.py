@@ -213,16 +213,15 @@ class RootedTree:
             self._free = FreeTree._from_edges(self.n, self.edges())
         return self._free
 
-    def _subtree_sizes(self) -> tuple[Sequence[int], tuple[int, ...]]:
-        """The parents-before-children vertex order and every subtree's size
-        (index 0 holds 0), the sizes computed once per tree."""
+    def _subtree_sizes(self) -> tuple[int, ...]:
+        """Every subtree's size (index 0 holds 0), computed once per tree."""
         if self._sizes is None:
             parent = self.parent
             size = [1] * (self.n + 1)
             size[0] = 0
             for v in reversed(self._order[1:]):
                 size[parent[v]] += size[v]
-            self._sizes = (self._order, tuple(size))
+            self._sizes = tuple(size)
         return self._sizes
 
     def num_children(self, v: int) -> int:

@@ -36,6 +36,16 @@ def test_parse_basic(tmp_path):
     assert [t.head for t in sent] == [2, 0, 2]
     assert [t.upos for t in sent] == ["NOUN", "VERB", "NOUN"]
 
+    # CRLF line endings, and no blank line after the last sentence
+    two = _u(1, "a", "NOUN", 2) + "\n" + _u(2, "b", "VERB", 0)
+    out = tmp_path / "a.hv"
+    for text in (two.replace("\n", "\r\n") + "\r\n\r\n", two):
+        p.write_bytes(text.encode("utf-8"))
+        assert [[t.head for t in s] for s in parse_conllu(str(p))] == [[2, 0]]
+        report = convert(str(p), str(out))
+        assert out.read_text(encoding="utf-8") == "2 0\n"
+        assert (report.converted, report.filtered, report.errored) == (1, 0, [])
+
 
 def test_parse_skips_ranges_and_comments(tmp_path):
     p = tmp_path / "a.conllu"
@@ -44,7 +54,9 @@ def test_parse_skips_ranges_and_comments(tmp_path):
         "1-2\tab\t_\t_\t_\t_\t_\t_\t_\t_\n"
         + _u(1, "a", "NOUN", 2) + "\n"
         + _u(2, "b", "VERB", 0) + "\n"
-        + "2.1\tx\t_\t_\t_\t_\t_\t_\t_\t_\n\n",
+        + "2.1\tx\t_\t_\t_\t_\t_\t_\t_\t_\n\n"
+        # a block of only comments and a range is no sentence
+        + "# sent_id = 2\n1-2\tab\t_\t_\t_\t_\t_\t_\t_\t_\n\n",
         encoding="utf-8")
     (sent,) = list(parse_conllu(str(p)))
     assert [t.id for t in sent] == [1, 2]
@@ -55,6 +67,23 @@ def test_parse_malformed(tmp_path):
     p.write_text("1\ta\tb\n\n", encoding="utf-8")
     with pytest.raises(MalformedLineError):
         list(parse_conllu(str(p)))
+
+    # a 2-column token on line 5 of the sentence that starts on line 4: one
+    # error at line 4 naming line 5, and the sentence's later lines consumed
+    p.write_text(
+        _sentence(_u(1, "a", "NOUN", 2), _u(2, "b", "VERB", 0))  # lines 1-3
+        + _sentence(_u(1, "a", "NOUN", 0), "2\tb", "3\tc\tc",
+                    _u(4, "d", "NOUN", 1))  # lines 4-8
+        + _sentence(_u(1, "x", "NOUN", 0)), encoding="utf-8")
+    report = convert(str(p), str(tmp_path / "a.hv"))
+    assert (tmp_path / "a.hv").read_text(encoding="utf-8") == "2 0\n0\n"
+    assert report.errored == [
+        (4, "MalformedLineError: expected 10 tab-separated columns, got 2 on line 5")]
+    sentences = parse_conllu(str(p))
+    assert [t.head for t in next(sentences)] == [2, 0]
+    with pytest.raises(MalformedLineError) as info:
+        next(sentences)
+    assert info.value.line_no == 5
 
 
 def test_identity_preprocess():
@@ -112,6 +141,8 @@ def test_convert_end_to_end(tmp_path):
         _sentence(_u(1, "a", "NOUN", 2), _u(2, "b", "VERB", 0), _u(3, ".", "PUNCT", 2))
         + _sentence(_u(1, "x", "NOUN", 0))
         + _sentence(_u(1, "a", "NOUN", 5))  # head out of range -> error
+        # only a comment and a range: neither converted, filtered nor errored
+        + _sentence("# text = ab", "1-2\tab\t_\t_\t_\t_\t_\t_\t_\t_")
         , encoding="utf-8")
     out = tmp_path / "out.hv"
     report = convert(str(src), str(out),

@@ -116,6 +116,22 @@ def test_collection_per_file_and_merged(tmp_path):
     assert lines[2].startswith("y,1,3,") and lines[3].startswith("y,2,2,")
 
 
+@pytest.mark.parametrize("listed", [["a/x.hv", "b/x.hv"], ["a/x.hv", "a/x.hv"]])
+def test_collection_rejects_members_sharing_a_stem(tmp_path, listed):
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "x.hv").write_text("0 1\n", encoding="utf-8")
+    lst = tmp_path / "coll.txt"
+    lst.write_text("".join(f"{name}\n" for name in listed), encoding="utf-8")
+    outdir, merged = tmp_path / "out", tmp_path / "merged.csv"
+    for kwargs in ({"output_dir": str(outdir)}, {"merge_out": str(merged)}):
+        with pytest.raises(ValueError, match="share the name 'x'") as info:
+            process_collection(str(lst), feature_names=["D"], **kwargs)
+        assert all(str(tmp_path / name) in str(info.value) for name in listed)
+    # nothing was written
+    assert not outdir.exists() and not merged.exists()
+
+
 # sha256 of the exact default-feature CSV of the treebank below
 PINNED_CSV_SHA256 = "ea5d60e1f26f1e208788d27cf3c41ed0020a24fafd954a8cca2d2a4c53540b0b"
 
