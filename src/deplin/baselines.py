@@ -76,6 +76,25 @@ def _pick_seed(seed: Optional[int]) -> int:
     return random.SystemRandom().randrange(2**63) if seed is None else seed
 
 
+def _estimate(func, mode: str, samples: int, seed: Optional[int], what: str, bound: int,
+              count, members, draw) -> EstimationResult:
+    """Average `func` over an ensemble: exactly over `members()` when its size
+    `count()` is within `bound`, or over `samples` draws `draw(rng)`."""
+    if mode == "exact":
+        size = count()
+        if size > bound:
+            raise EnsembleTooLargeError(f"ensemble of {size} {what} exceeds bound {bound}")
+        mean, var, k = _exact_moments(map(func, members()))
+        return EstimationResult("exact", mean, var, None, k, None)
+    if mode == "monte_carlo":
+        if samples < 1:
+            raise ValueError(f"samples must be at least 1, got {samples}")
+        seed = _pick_seed(seed)
+        rng = random.Random(seed)
+        return _mc_result((func(draw(rng)) for _ in range(samples)), seed)
+    raise ValueError(f"unknown mode: {mode!r}")
+
+
 def _metric_for_arrangements(metric: str) -> features.Feature:
     (feat,) = features.resolve([metric])
     if not feat.order_dependent:
@@ -95,24 +114,12 @@ def estimate_over_arrangements(
     feat = _metric_for_arrangements(metric)
     if feat.requires_rooted and not isinstance(t, RootedTree):
         raise KindMismatchError(f"metric {metric!r} requires a rooted tree")
-    if mode == "exact":
-        size = num_arrangements(t, constraint)
-        if size > DEFAULT_ARRANGEMENT_ITEMS:
-            raise EnsembleTooLargeError(f"ensemble of {size} arrangements exceeds "
-                                        f"bound {DEFAULT_ARRANGEMENT_ITEMS}")
-        values = (feat.func(features.FeatureContext(t, a))
-                  for a in exhaustive_arrangements(t, constraint, max_n=t.n))
-        mean, var, count = _exact_moments(values)
-        return EstimationResult("exact", mean, var, None, count, None)
-    if mode == "monte_carlo":
-        if samples < 1:
-            raise ValueError(f"samples must be at least 1, got {samples}")
-        seed = _pick_seed(seed)
-        rng = random.Random(seed)
-        values = (feat.func(features.FeatureContext(
-            t, random_arrangement(t, constraint, rng))) for _ in range(samples))
-        return _mc_result(values, seed)
-    raise ValueError(f"unknown mode: {mode!r}")
+    return _estimate(
+        lambda a: feat.func(features.FeatureContext(t, a)), mode, samples, seed,
+        "arrangements", DEFAULT_ARRANGEMENT_ITEMS,
+        lambda: num_arrangements(t, constraint),
+        lambda: exhaustive_arrangements(t, constraint, max_n=t.n),
+        lambda rng: random_arrangement(t, constraint, rng))
 
 
 def estimate_over_trees(
@@ -129,21 +136,9 @@ def estimate_over_trees(
         raise ValueError(f"metric {metric!r} depends on the arrangement")
     if feat.requires_rooted and kind.rooting == "free":
         raise KindMismatchError(f"metric {metric!r} requires a rooted tree kind")
-    if mode == "exact":
-        size = count_trees(kind, n)
-        if size > DEFAULT_TREE_ITEMS:
-            raise EnsembleTooLargeError(
-                f"ensemble of {size} trees exceeds bound {DEFAULT_TREE_ITEMS}")
-        values = (feat.func(features.FeatureContext(t))
-                  for t in exhaustive_trees(kind, n))
-        mean, var, count = _exact_moments(values)
-        return EstimationResult("exact", mean, var, None, count, None)
-    if mode == "monte_carlo":
-        if samples < 1:
-            raise ValueError(f"samples must be at least 1, got {samples}")
-        seed = _pick_seed(seed)
-        rng = random.Random(seed)
-        values = (feat.func(features.FeatureContext(
-            random_tree(kind, n, rng))) for _ in range(samples))
-        return _mc_result(values, seed)
-    raise ValueError(f"unknown mode: {mode!r}")
+    return _estimate(
+        lambda tree: feat.func(features.FeatureContext(tree)), mode, samples, seed,
+        "trees", DEFAULT_TREE_ITEMS,
+        lambda: count_trees(kind, n),
+        lambda: exhaustive_trees(kind, n),
+        lambda rng: random_tree(kind, n, rng))

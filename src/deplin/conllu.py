@@ -9,11 +9,11 @@ interpreted; the remaining columns are carried through unchanged.
 non-comment lines with their line numbers, and one function that parses and
 validates a block's tokens; a block of only ranges and empty nodes is skipped.
 
-Preprocessing can drop punctuation and function words (dependents of a
-removed token are re-attached to its nearest retained ancestor; a removed
-root is replaced by its leftmost retained dependent) and filter sentences by
-their post-removal length.  A sentence with more than one root is rejected
-before any removal.
+A sentence must be a tree (one root, no self-head, no cycle) before any
+removal or length filter, or it is an error.  Dropping punctuation or
+function words contracts the tree: a retained token attaches to its nearest
+retained ancestor; the leftmost retained token without one becomes the root
+and the others without one attach to it.  Length filters apply after removal.
 """
 
 from __future__ import annotations
@@ -134,51 +134,37 @@ def preprocess(tokens: list[ConlluToken],
                opts: PreprocessOptions) -> Optional[tuple[int, ...]]:
     """Reduce a sentence to a head vector, or None when filtered out.
 
-    A sentence whose input has more than one root (HEAD 0) is rejected before
-    any removal, as the head-vector reader rejects it."""
+    The input sentence must be a tree (one HEAD 0, no self-head, no cycle)
+    before any removal or length filter, as the head-vector reader requires.
+    Removal contracts that tree, so what it leaves is a tree too."""
     roots = [t.id for t in tokens if t.head == 0]
     if len(roots) > 1:
         raise MultipleRootsError(f"tokens {roots[0]} and {roots[1]} both have HEAD 0")
+    if not roots:
+        raise CycleError("no retained token reaches the root: cycle in head chain")
+    tree = RootedTree.from_head_vector([t.head for t in tokens])
 
     removed = {"PUNCT"} if opts.remove_punct else set()
     if opts.remove_function_words:
         removed.update(opts.function_word_upos)
-    head_of = {t.id: t.head for t in tokens}
-    kept = [t for t in tokens if t.upos not in removed]
-    if not kept:
+    kept = [t.id for t in tokens if t.upos not in removed]
+    n = len(kept)
+    if (not kept or (opts.min_len is not None and n < opts.min_len)
+            or (opts.max_len is not None and n > opts.max_len)):
         return None
-    kept_ids = {t.id for t in kept}
-
-    def effective_head(t: ConlluToken) -> int:
-        h = t.head
-        steps = 0
-        while h != 0 and h not in kept_ids:
-            h = head_of[h]
-            steps += 1
-            if steps > len(tokens):  # head cycle among removed tokens
-                raise CycleError("cycle in head chain")
-        return h
-
-    eff = {t.id: effective_head(t) for t in kept}
-    orphans = [t.id for t in kept if eff[t.id] == 0]
-    if not orphans:
-        raise CycleError("no retained token reaches the root: cycle in head chain")
-    new_root = min(orphans)  # leftmost retained dependent is promoted
-    renumber = {t.id: i for i, t in enumerate(kept, start=1)}
-    heads = []
-    for t in kept:
-        if t.id == new_root:
-            heads.append(0)
-        elif eff[t.id] == 0:
-            heads.append(renumber[new_root])
-        else:
-            heads.append(renumber[eff[t.id]])
-    n = len(heads)
-    if opts.min_len is not None and n < opts.min_len:
-        return None
-    if opts.max_len is not None and n > opts.max_len:
-        return None
-    RootedTree.from_head_vector(heads)  # structural errors propagate
+    new_id = [0] * (len(tokens) + 1)  # 0 for a removed token
+    for i, v in enumerate(kept, start=1):
+        new_id[v] = i
+    # each token's nearest retained proper ancestor, 0 if it has none
+    parent = tree.parent
+    anc = [0] * (len(tokens) + 1)
+    for v in tree._order[1:]:
+        p = parent[v]
+        anc[v] = p if new_id[p] else anc[p]
+    # the leftmost retained token without one is the root; the others attach to it
+    top = next(v for v in kept if not anc[v])
+    heads = [new_id[anc[v] or top] for v in kept]
+    heads[new_id[top] - 1] = 0
     return tuple(heads)
 
 

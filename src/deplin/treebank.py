@@ -9,13 +9,14 @@ for arrangement-dependent features.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import features
 from .errors import DeplinError, MalformedLineError, _skip_or_fail
@@ -127,7 +128,21 @@ def _normalized_features(feature_names: Optional[Sequence[str]]) -> list[str]:
     return names
 
 
-def _rows(path: str, output_path: str, names: list[str], exact: bool, threads: int,
+@contextlib.contextmanager
+def _row_map(threads: int) -> Iterator[Callable]:
+    """The map that turns sentences into rows for a whole run: `map` at one
+    worker, otherwise the ordered `imap` of one pool, started once."""
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    if threads == 1:
+        yield map
+        return
+    import multiprocessing
+    with multiprocessing.Pool(threads) as pool:
+        yield functools.partial(pool.imap, chunksize=64)
+
+
+def _rows(path: str, output_path: str, names: list[str], exact: bool, row_map: Callable,
           error_policy: str) -> tuple[ProcessingReport, Iterator[str]]:
     """The one stream of a treebank file's CSV rows, in input order, and the
     report it fills: counts and `elapsed` are final after the last row.  With
@@ -145,13 +160,7 @@ def _rows(path: str, output_path: str, names: list[str], exact: bool, threads: i
 
     def rows() -> Iterator[str]:
         started = time.perf_counter()
-        row = functools.partial(_row, tuple(names), exact)
-        if threads == 1:
-            yield from map(row, trees())
-        else:
-            import multiprocessing
-            with multiprocessing.Pool(threads) as pool:
-                yield from pool.imap(row, trees(), chunksize=64)
+        yield from row_map(functools.partial(_row, tuple(names), exact), trees())
         report.elapsed = time.perf_counter() - started
 
     return report, rows()
@@ -185,11 +194,10 @@ def process_treebank(
     threads: int = 1,
 ) -> ProcessingReport:
     """Compute the requested features for every sentence into a CSV file."""
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
     names = _normalized_features(feature_names)
-    report, rows = _rows(input_path, output_path, names, exact, threads, error_policy)
-    _write_lines(output_path, itertools.chain([",".join(["sentence_id", "n", *names])], rows))
+    with _row_map(threads) as row_map:
+        report, rows = _rows(input_path, output_path, names, exact, row_map, error_policy)
+        _write_lines(output_path, itertools.chain([",".join(["sentence_id", "n", *names])], rows))
     return report
 
 
@@ -237,26 +245,27 @@ def process_collection(
     """
     if (output_dir is None) == (merge_out is None):
         raise ValueError("exactly one of output_dir / merge_out is required")
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
     collection = CollectionReport()
     members = _collection_members(list_path, error_policy, collection.missing)
     names = _normalized_features(feature_names)
-    if output_dir is not None:
-        os.makedirs(output_dir, exist_ok=True)
-        for stem, member in members.items():
-            collection.reports.append((stem, process_treebank(
-                member, os.path.join(output_dir, stem + ".csv"), names,
-                error_policy=error_policy, exact=exact, threads=threads)))
-        return collection
+    header = ["sentence_id", "n", *names]
+    with _row_map(threads) as row_map:
+        if output_dir is not None:
+            os.makedirs(output_dir, exist_ok=True)
+            for stem, member in members.items():
+                out = os.path.join(output_dir, stem + ".csv")
+                report, rows = _rows(member, out, names, exact, row_map, error_policy)
+                collection.reports.append((stem, report))
+                _write_lines(out, itertools.chain([",".join(header)], rows))
+            return collection
 
-    def merged_lines() -> Iterator[str]:
-        yield ",".join(["treebank", "sentence_id", "n", *names])
-        for stem, member in members.items():
-            report, rows = _rows(member, merge_out, names, exact, threads, error_policy)
-            collection.reports.append((stem, report))
-            for row in rows:
-                yield f"{stem},{row}"
+        def merged_lines() -> Iterator[str]:
+            yield ",".join(["treebank", *header])
+            for stem, member in members.items():
+                report, rows = _rows(member, merge_out, names, exact, row_map, error_policy)
+                collection.reports.append((stem, report))
+                for row in rows:
+                    yield f"{stem},{row}"
 
-    _write_lines(merge_out, merged_lines())
+        _write_lines(merge_out, merged_lines())
     return collection

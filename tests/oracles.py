@@ -351,3 +351,32 @@ def all_head_vectors(n):
                         head[w] = u
                         stack.append(w)
             yield tuple(head[1:])
+
+
+def contract_removed(heads, kept):
+    """The head vector left when only the tokens in `kept` stay, or None when
+    `heads` is not a tree.  A tree has exactly one head 0, and every token's
+    head chain reaches 0 within n steps.  Each kept token hangs from the first
+    kept token on its head chain; the leftmost kept token whose chain has none
+    is the root, and the other kept tokens without one hang from it."""
+    n = len(heads)
+    if sum(1 for h in heads if h == 0) != 1 or any(not 0 <= h <= n for h in heads):
+        return None
+    for v in range(1, n + 1):
+        h, steps = v, 0
+        while h != 0 and steps <= n:
+            h, steps = heads[h - 1], steps + 1
+        if h != 0:
+            return None
+    kept = sorted(kept)
+    nearest = {}
+    for v in kept:
+        h = heads[v - 1]
+        while h != 0 and h not in kept:
+            h = heads[h - 1]
+        nearest[v] = h
+    if not kept:
+        return ()
+    root = min(v for v in kept if nearest[v] == 0)
+    position = {v: i for i, v in enumerate(kept, start=1)}
+    return tuple(0 if v == root else position[nearest[v] or root] for v in kept)

@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+import oracles
 from deplin import (
     PreprocessOptions,
     convert,
@@ -9,10 +12,13 @@ from deplin import (
 from deplin.conllu import ConlluToken, DEFAULT_FUNCTION_WORD_UPOS
 from deplin.errors import (
     CycleError,
+    DeplinError,
     HeadOutOfRangeError,
     MalformedLineError,
     MultipleRootsError,
     NonContiguousIdsError,
+    OutOfRangeError,
+    SelfHeadError,
 )
 
 
@@ -130,9 +136,54 @@ def test_length_filters_applied_after_removal():
 
 
 def test_validation_errors():
-    with pytest.raises(Exception):
+    with pytest.raises(OutOfRangeError):
         # non-contiguous ids surface via convert; here head out of range
         preprocess([_tok(1, 0), _tok(2, 9)], PreprocessOptions())
+
+
+def test_removal_matches_contraction_oracle():
+    # every vector in {0..n}^n, n <= 5, under every set of removed tokens: a
+    # tree contracts as the oracle does, anything else raises a library error
+    punct = PreprocessOptions(remove_punct=True)
+    for n in range(1, 6):
+        for heads in itertools.product(range(n + 1), repeat=n):
+            for mask in range(1 << n):
+                tokens = [_tok(i, h, "PUNCT" if mask >> (i - 1) & 1 else "NOUN")
+                          for i, h in enumerate(heads, start=1)]
+                kept = [i for i in range(1, n + 1) if not mask >> (i - 1) & 1]
+                expected = oracles.contract_removed(heads, kept)
+                try:
+                    got = preprocess(tokens, punct)
+                except DeplinError:
+                    got = "error"
+                assert got == ("error" if expected is None else expected or None), \
+                    (heads, kept)
+
+
+def test_removed_tokens_must_form_a_tree_too():
+    # a cycle among removed tokens is no tree, whatever is removed
+    toks = [_tok(1, 0), _tok(2, 3, upos="PUNCT"), _tok(3, 2, upos="PUNCT")]
+    with pytest.raises(CycleError, match="head vector contains a cycle"):
+        preprocess(toks, PreprocessOptions(remove_punct=True))
+
+
+def test_invalid_sentence_is_an_error_before_the_length_filter(tmp_path):
+    src = tmp_path / "in.conllu"
+    src.write_text(
+        _sentence(_u(1, "a", "NOUN", 0), _u(2, "b", "NOUN", 3),
+                  _u(3, "c", "NOUN", 2))  # lines 1-4: a cycle
+        + _sentence(_u(1, "a", "NOUN", 0), _u(2, "b", "NOUN", 2))  # lines 5-7: a self-head
+        + _sentence(_u(1, "x", "NOUN", 0)), encoding="utf-8")
+    out = tmp_path / "out.hv"
+    report = convert(str(src), str(out), PreprocessOptions(max_len=1))
+    assert out.read_text(encoding="utf-8") == "0\n"
+    assert (report.converted, report.filtered) == (1, 0)
+    assert report.errored == [(1, "CycleError: head vector contains a cycle"),
+                              (5, "SelfHeadError: vertex 2 is its own head")]
+    with pytest.raises(CycleError):
+        convert(str(src), str(out), PreprocessOptions(max_len=1), error_policy="fail_fast")
+    with pytest.raises(SelfHeadError):
+        preprocess([_tok(1, 0), _tok(2, 2)], PreprocessOptions(min_len=5))
 
 
 def test_convert_end_to_end(tmp_path):

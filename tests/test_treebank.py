@@ -1,4 +1,6 @@
 import hashlib
+import multiprocessing
+import multiprocessing.pool
 import os
 import random
 
@@ -114,6 +116,31 @@ def test_collection_per_file_and_merged(tmp_path):
     assert lines[0] == "treebank,sentence_id,n,D"
     assert lines[1].startswith("x,1,2,")
     assert lines[2].startswith("y,1,3,") and lines[3].startswith("y,2,2,")
+
+
+def test_collection_starts_one_pool_per_run(tmp_path, monkeypatch):
+    opened = []
+
+    class CountingPool(multiprocessing.pool.Pool):
+        def __init__(self, *args, **kwargs):
+            opened.append(1)
+            super().__init__(*args, **kwargs)
+
+    for name, text in [("a", "0 1\n0 1 1\n"), ("b", "2 0\nx\n0 1 2\n"), ("c", "0\n")]:
+        (tmp_path / f"{name}.hv").write_text(text, encoding="utf-8")
+    lst = tmp_path / "coll.txt"
+    lst.write_text("a.hv\nb.hv\nc.hv\n", encoding="utf-8")
+    monkeypatch.setattr(multiprocessing, "Pool", CountingPool)
+    outputs = {}
+    for threads in (1, 2):
+        opened.clear()
+        out = tmp_path / f"out{threads}"
+        process_collection(str(lst), output_dir=str(out), threads=threads)
+        process_collection(str(lst), merge_out=str(out / "merged.csv"), threads=threads)
+        assert len(opened) == 2 * (threads > 1)  # one pool per call
+        outputs[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(outputs[2]) == ["a.csv", "b.csv", "c.csv", "merged.csv"]
+    assert outputs[1] == outputs[2]
 
 
 @pytest.mark.parametrize("listed", [["a/x.hv", "b/x.hv"], ["a/x.hv", "a/x.hv"]])
