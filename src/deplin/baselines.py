@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from . import features
-from .errors import EnsembleTooLargeError, KindMismatchError
+from .errors import EnsembleTooLargeError
 from .generate import (
     TreeKind,
     count_trees,
@@ -112,8 +112,6 @@ def estimate_over_arrangements(
 ) -> EstimationResult:
     """Average `metric` over the constrained arrangement ensemble of `t`."""
     feat = _metric_for_arrangements(metric)
-    if feat.requires_rooted and not isinstance(t, RootedTree):
-        raise KindMismatchError(f"metric {metric!r} requires a rooted tree")
     return _estimate(
         lambda a: feat.func(features.FeatureContext(t, a)), mode, samples, seed,
         "arrangements", DEFAULT_ARRANGEMENT_ITEMS,
@@ -134,8 +132,6 @@ def estimate_over_trees(
     (feat,) = features.resolve([metric])
     if feat.order_dependent:
         raise ValueError(f"metric {metric!r} depends on the arrangement")
-    if feat.requires_rooted and kind.rooting == "free":
-        raise KindMismatchError(f"metric {metric!r} requires a rooted tree kind")
     return _estimate(
         lambda tree: feat.func(features.FeatureContext(tree)), mode, samples, seed,
         "trees", DEFAULT_TREE_ITEMS,

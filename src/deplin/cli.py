@@ -129,6 +129,8 @@ def _cmd_collection(args) -> int:
     for name, rep in collection.reports:
         print(f"  {name}: {rep.processed} sentences, {len(rep.skipped)} skipped",
               file=sys.stderr)
+        for line_no, reason in rep.skipped:
+            print(f"    line {line_no}: {reason}", file=sys.stderr)
     for path in collection.missing:
         print(f"  missing: {path}", file=sys.stderr)
     return 0

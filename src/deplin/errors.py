@@ -70,7 +70,7 @@ class UnknownMetricError(DeplinError, KeyError):
 
 
 class KindMismatchError(DeplinError, ValueError):
-    """Metric requires rooted trees but a free tree kind was given."""
+    """A free tree (or tree kind) was given where a root or orientation is read."""
 
 
 class MalformedLineError(DeplinError, ValueError):

@@ -24,7 +24,7 @@ from typing import Callable, Optional, Union
 
 from . import linarr, properties
 from .errors import UnknownMetricError
-from .trees import Arrangement, FreeTree, RootedTree, _check_same_size
+from .trees import Arrangement, FreeTree, RootedTree, _check_rooted, _check_same_size
 
 Tree = Union[FreeTree, RootedTree]
 
@@ -38,9 +38,7 @@ class FeatureContext:
 
     @property
     def rooted(self) -> RootedTree:
-        if not isinstance(self.tree, RootedTree):
-            raise TypeError("feature requires a rooted tree")
-        return self.tree
+        return _check_rooted(self.tree, "this feature")
 
     @cached_property
     def edges(self) -> list[tuple[int, int]]:
@@ -71,7 +69,6 @@ class Feature:
     name: str
     func: Callable[[FeatureContext], object]
     order_dependent: bool = False
-    requires_rooted: bool = False
     opt_in: bool = False
 
 
@@ -90,14 +87,14 @@ _register("n", lambda ctx: ctx.tree.n)
 _register("D", lambda ctx: sum(r - l for l, r in ctx.edges), order_dependent=True)
 _register("C", lambda ctx: ctx.C, order_dependent=True)
 _register("projective", lambda ctx: int(ctx.flags.projective),
-          order_dependent=True, requires_rooted=True)
+          order_dependent=True)
 _register("planar", lambda ctx: int(ctx.flags.planar),
-          order_dependent=True, requires_rooted=True)
+          order_dependent=True)
 _register("one_ec", lambda ctx: int(ctx.flags.one_endpoint_crossing),
-          order_dependent=True, requires_rooted=True)
+          order_dependent=True)
 _register("head_initial_ratio",
-          _guard_edges(lambda ctx: linarr.head_initial_ratio(ctx.rooted, ctx.arrangement)),
-          order_dependent=True, requires_rooted=True)
+          _guard_edges(lambda ctx: linarr.head_initial_ratio(ctx.tree, ctx.arrangement)),
+          order_dependent=True)
 _register("flux_max_size",
           _guard_edges(lambda ctx: ctx.flux.max_size), order_dependent=True)
 _register("flux_max_weight",
@@ -106,8 +103,7 @@ _register("flux_mean_size",
           _guard_edges(lambda ctx: Fraction(ctx.flux.total_size, ctx.tree.n - 1)),
           order_dependent=True)
 _register("MHD",
-          _guard_edges(lambda ctx: properties.mean_hierarchical_distance(ctx.rooted)),
-          requires_rooted=True)
+          _guard_edges(lambda ctx: properties.mean_hierarchical_distance(ctx.tree)))
 _register("hubiness",
           lambda ctx: properties.hubiness(ctx.tree) if ctx.tree.n >= 4 else None)
 _register("Q", lambda ctx: properties.num_independent_edge_pairs(ctx.tree))
@@ -120,7 +116,7 @@ for _flag in ("linear", "star", "quasistar", "bistar", "caterpillar", "spider"):
     _register(_flag,
               (lambda fl: lambda ctx: int(getattr(ctx.shape, fl)))(_flag))
 _register("D_min_projective",
-          lambda ctx: linarr._min_projective_value(ctx.rooted), requires_rooted=True)
+          lambda ctx: linarr._min_projective_value(ctx.rooted))
 _register("D_min_planar",
           lambda ctx: linarr._min_projective_value(linarr._centroid_rooted(ctx.tree)),
           opt_in=True)

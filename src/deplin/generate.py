@@ -36,7 +36,7 @@ from math import factorial
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .errors import SizeLimitExceededError
-from .trees import Arrangement, FreeTree, RootedTree, _degrees
+from .trees import Arrangement, FreeTree, RootedTree, _check_rooted, _degrees
 
 Tree = Union[FreeTree, RootedTree]
 
@@ -339,11 +339,9 @@ def num_arrangements(t: Tree, constraint: str = "unconstrained") -> int:
     if constraint == "unconstrained":
         return factorial(t.n)
     if constraint == "projective":
-        if not isinstance(t, RootedTree):
-            raise TypeError("projective arrangements require a RootedTree")
         prod = 1
-        for v in t.vertices():
-            prod *= factorial(len(t.children[v]) + 1)
+        for kids in _check_rooted(t, "projective arrangement count").children[1:]:
+            prod *= factorial(len(kids) + 1)
         return prod
     if constraint == "planar":
         # each vertex is first in prod_v deg(v)! planar arrangements: rooted
@@ -417,9 +415,7 @@ def exhaustive_arrangements(t: Tree, constraint: str = "unconstrained",
     if constraint == "unconstrained":
         orders = itertools.permutations(range(1, t.n + 1))
     elif constraint == "projective":
-        if not isinstance(t, RootedTree):
-            raise TypeError("projective arrangements require a RootedTree")
-        orders = _projective_orders(t)
+        orders = _projective_orders(_check_rooted(t, "projective enumeration"))
     elif constraint == "planar":
         # planar arrangement <=> projective for the tree rooted at the
         # vertex in position 1, so the union over rootings is disjoint
@@ -458,9 +454,8 @@ def random_arrangement(t: Tree, constraint: str = "unconstrained",
         rng.shuffle(order)
         return Arrangement.from_vertex_order(order)
     if constraint == "projective":
-        if not isinstance(t, RootedTree):
-            raise TypeError("projective arrangements require a RootedTree")
-        return Arrangement.from_vertex_order(_sample_projective_order(t, rng))
+        return Arrangement.from_vertex_order(
+            _sample_projective_order(_check_rooted(t, "projective draw"), rng))
     if constraint == "planar":
         # planar <=> projective for the tree rooted at the first vertex, and
         # every vertex is first in the same number of planar arrangements

@@ -14,12 +14,13 @@ from __future__ import annotations
 from typing import Union
 
 from .properties import centre
-from .trees import FreeTree, RootedTree
+from .trees import FreeTree, RootedTree, _check_rooted
 
 Tree = Union[FreeTree, RootedTree]
 
 
 def canonical_code(t: RootedTree) -> str:
+    _check_rooted(t, "rooted canonical code")
     # each child's code is dropped once its parent's is built, so the codes
     # held at any time total O(n) characters rather than O(n * height)
     code: dict[int, str] = {}
@@ -34,11 +35,8 @@ def free_canonical_code(t: Tree) -> str:
 
 
 def are_isomorphic(a: Tree, b: Tree, mode: str = "free") -> bool:
-    if a.n != b.n:
-        return False
+    # a code holds 2n characters, so trees of different sizes never match
     if mode == "rooted":
-        if not (isinstance(a, RootedTree) and isinstance(b, RootedTree)):
-            raise TypeError("rooted mode requires two RootedTrees")
         return canonical_code(a) == canonical_code(b)
     if mode == "free":
         return free_canonical_code(a) == free_canonical_code(b)

@@ -24,7 +24,7 @@ from typing import Optional, Union
 
 from . import properties
 from .errors import NoEdgesError
-from .trees import Arrangement, FreeTree, RootedTree, _check_same_size
+from .trees import Arrangement, FreeTree, RootedTree, _check_rooted, _check_same_size
 
 Tree = Union[FreeTree, RootedTree]
 
@@ -132,12 +132,14 @@ def _classify(edges: list[tuple[int, int]], crossings: int,
 
 
 def classify_arrangement(t: RootedTree, a: Arrangement) -> ArrangementFlags:
+    _check_rooted(t, "arrangement classification")
     _check_same_size(t, a)
     edges = _positioned_edges(t, a)
     return _classify(edges, _crossings_sweep(edges, t.n), a.position[t.root])
 
 
 def head_initial_ratio(t: RootedTree, a: Arrangement) -> Fraction:
+    _check_rooted(t, "head-initial ratio")
     _check_same_size(t, a)
     if t.n < 2:
         raise NoEdgesError("head-initial ratio undefined on a single vertex")
@@ -270,6 +272,7 @@ def _min_projective(t: RootedTree) -> list[int]:
 
 
 def min_D_projective(t: RootedTree) -> MinArrangementResult:
+    _check_rooted(t, "projective minimum")
     return MinArrangementResult(_min_projective_value(t), Arrangement(_min_projective(t)[1:]))
 
 

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import KindMismatchError, NoEdgesError, TooSmallError
-from .trees import FreeTree, RootedTree, _degrees
+from .errors import NoEdgesError, TooSmallError
+from .trees import FreeTree, RootedTree, _check_rooted, _degrees
 
 Tree = Union[FreeTree, RootedTree]
 
@@ -36,8 +36,7 @@ def degree_moment(t: Tree, m: int, kind: str = "total") -> Fraction:
         return Fraction(sum(d ** m for d in _degrees(t)), t.n)
     if kind not in ("in", "out"):
         raise ValueError(f"unknown degree kind: {kind!r}")
-    if not isinstance(t, RootedTree):
-        raise KindMismatchError(f"degree kind {kind!r} requires a rooted tree")
+    _check_rooted(t, f"degree kind {kind!r}")
     if kind == "in":
         return Fraction(t.n - 1, t.n)  # every non-root vertex has in-degree 1
     return Fraction(sum(len(t.children[v]) ** m for v in t.vertices()), t.n)
@@ -58,6 +57,7 @@ def mean_hierarchical_distance(t: RootedTree) -> Fraction:
     """Mean depth of the non-root vertices.  A vertex's depth counts the
     subtrees it lies in below the root, so the depths sum to the sizes of
     the non-root subtrees."""
+    _check_rooted(t, "mean hierarchical distance")
     if t.n < 2:
         raise NoEdgesError("MHD undefined on a single vertex")
     return Fraction(sum(t._subtree_sizes()) - t.n, t.n - 1)

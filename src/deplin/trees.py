@@ -15,6 +15,7 @@ from typing import Iterable, Iterator, Sequence, Union
 from .errors import (
     CycleError,
     DuplicateEdgeError,
+    KindMismatchError,
     MultipleRootsError,
     NoRootError,
     NotATreeError,
@@ -358,6 +359,13 @@ def _degrees(t: Union[FreeTree, RootedTree]) -> list[int]:
         degree[t.root] -= 1
         return degree
     return [len(a) for a in t._adj]
+
+
+def _check_rooted(t: Union[FreeTree, RootedTree], what: str) -> RootedTree:
+    """`t`, checked to be rooted for `what`, which reads its root or orientation."""
+    if not isinstance(t, RootedTree):
+        raise KindMismatchError(f"{what} requires a rooted tree")
+    return t
 
 
 def _check_same_size(t, a: Arrangement) -> None:

@@ -272,3 +272,19 @@ def test_collection_cli(tmp_path, capsys):
     lines = merged.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "treebank,sentence_id,n,D"
     assert lines[1] == "x,1,2,1"
+
+
+def test_collection_cli_prints_each_members_skip_reasons(tmp_path, capsys):
+    (tmp_path / "x.hv").write_text("0 1\n", encoding="utf-8")
+    (tmp_path / "y.hv").write_text("0 1\n0 0\n", encoding="utf-8")
+    lst = tmp_path / "c.txt"
+    lst.write_text("x.hv\ny.hv\n", encoding="utf-8")
+    code, _, err = run_cli(
+        ["collection", str(lst), "--merge-out", str(tmp_path / "m.csv"),
+         "--features", "D", "--threads", "1"], capsys)
+    assert code == 0
+    assert err.splitlines()[1:] == [
+        "  x: 1 sentences, 0 skipped",
+        "  y: 1 sentences, 1 skipped",
+        "    line 2: MultipleRootsError: second root at position 2",
+    ]

@@ -12,8 +12,20 @@ from deplin import (
     random_arrangement,
     random_tree,
 )
-from deplin import RootedTree, features, linarr
-from deplin.errors import SizeMismatchError
+from deplin import (
+    RootedTree,
+    are_isomorphic,
+    canonical_code,
+    degree_moment,
+    exhaustive_arrangements,
+    features,
+    head_initial_ratio,
+    linarr,
+    mean_hierarchical_distance,
+    min_D_projective,
+    num_arrangements,
+)
+from deplin.errors import KindMismatchError, SizeMismatchError
 from deplin.generate import TreeKind
 
 from conftest import FIG1_HV
@@ -113,3 +125,35 @@ def test_wrong_size_arrangement_raises_through_every_order_dependent_feature(siz
         if feat.order_dependent:
             with pytest.raises(SizeMismatchError):
                 feat.func(features.FeatureContext(t, Arrangement.identity(size)))
+
+
+def test_rooted_only_entry_points_reject_free_trees():
+    t = from_head_vector(FIG1_HV).to_free()  # n = 9
+    a = Arrangement.identity(t.n)
+    rng = random.Random(1)
+    entry_points = [
+        lambda: classify_arrangement(t, a),
+        lambda: head_initial_ratio(t, a),
+        lambda: min_D_projective(t),
+        lambda: mean_hierarchical_distance(t),
+        lambda: degree_moment(t, 1, kind="in"),
+        lambda: degree_moment(t, 2, kind="out"),
+        lambda: canonical_code(t),
+        lambda: are_isomorphic(t, t, mode="rooted"),
+        lambda: are_isomorphic(t, from_head_vector("0 1").to_free(), mode="rooted"),
+        lambda: num_arrangements(t, "projective"),
+        lambda: exhaustive_arrangements(t, "projective"),
+        lambda: random_arrangement(t, "projective", rng),
+        lambda: features.FeatureContext(t, a).rooted,
+    ]
+    for call in entry_points:
+        with pytest.raises(KindMismatchError):
+            call()
+    rooted_only = set()
+    for name, feat in features.REGISTRY.items():
+        try:
+            assert feat.func(features.FeatureContext(t, a)) is not None
+        except KindMismatchError:
+            rooted_only.add(name)
+    assert rooted_only == {"projective", "planar", "one_ec", "head_initial_ratio",
+                           "MHD", "D_min_projective"}

@@ -9,6 +9,7 @@ from deplin import (
     Arrangement,
     classify_arrangement,
     flux,
+    from_edge_list,
     from_head_vector,
     head_initial_ratio,
     min_D_planar,
@@ -245,6 +246,22 @@ def test_min_unconstrained_random_larger():
         t = random_tree(kind, n, rng)
         assert (min_D_unconstrained(t).value
                 == oracles.min_D_subset_dp(n, list(t.edges())))
+
+
+# the smallest known tree whose unconstrained minimum has a crossing: a root
+# joined to three spiders, each with two legs of length 2
+COUNTEREXAMPLE_N16 = [(1, 2), (1, 7), (1, 12), (2, 3), (2, 5), (3, 4), (5, 6), (7, 8),
+                      (7, 10), (8, 9), (10, 11), (12, 13), (12, 15), (13, 14), (15, 16)]
+
+
+def test_counterexample_planar_minimum_exceeds_unconstrained():
+    t = from_edge_list(16, COUNTEREXAMPLE_N16)
+    assert oracles.min_D_subset_dp(16, COUNTEREXAMPLE_N16) == 25
+    res = min_D_planar(t)
+    assert res.value == 26
+    pos = _positions(t, res.arrangement)
+    assert oracles.edge_lengths_sum(COUNTEREXAMPLE_N16, pos) == 26
+    assert oracles.crossings_pairs(COUNTEREXAMPLE_N16, pos) == 0
 
 
 def test_min_star_and_path_closed_forms():
