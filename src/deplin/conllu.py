@@ -80,7 +80,7 @@ def _blocks(path: str) -> Iterator[tuple[int, list[tuple[int, str]]]]:
     """Yield each blank-line-delimited block of non-comment lines as
     (line number of its first line, [(line number, text), ...])."""
     block: list[tuple[int, str]] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\r\n")
             if not line.strip():

@@ -49,12 +49,13 @@ class SizeMismatchError(DeplinError, ValueError):
     """Tree and arrangement are not over the same vertex set."""
 
 
-class NoEdgesError(DeplinError, ValueError):
-    """Metric undefined on a single-vertex tree."""
-
-
 class TooSmallError(DeplinError, ValueError):
-    """Metric undefined below a minimum vertex count."""
+    """Metric undefined below a minimum vertex count; a feature of such a
+    tree is None, an empty CSV cell."""
+
+
+class NoEdgesError(TooSmallError):
+    """Metric undefined on a single-vertex tree, which has no edges."""
 
 
 class SizeLimitExceededError(DeplinError, ValueError):

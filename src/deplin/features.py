@@ -11,8 +11,9 @@ rooted tree memoizes its subtree-size pass, so MHD and D_min_projective
 share one pass, flux reads the vertex order the tree recorded when it was
 built, and the degree features read degrees from the rooted tree without
 building its free tree.
-Features that are undefined for a sentence (e.g. hubiness below n = 4)
-evaluate to None.
+A feature is None, an empty CSV cell, exactly where the metric's own
+function raises TooSmallError: NoEdgesError below two vertices, and
+hubiness below four.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import cached_property
 from typing import Callable, Optional, Union
 
 from . import linarr, properties
-from .errors import UnknownMetricError
+from .errors import TooSmallError, UnknownMetricError
 from .trees import Arrangement, FreeTree, RootedTree, _check_rooted, _check_same_size
 
 Tree = Union[FreeTree, RootedTree]
@@ -79,8 +80,15 @@ def _register(name, func, **kw):
     REGISTRY[name] = Feature(name, func, **kw)
 
 
-def _guard_edges(f):
-    return lambda ctx: f(ctx) if ctx.tree.n >= 2 else None
+def _defined(f):
+    """`f`, but None where the metric is undefined: only the metric's own
+    function says where that is, by raising TooSmallError."""
+    def func(ctx):
+        try:
+            return f(ctx)
+        except TooSmallError:
+            return None
+    return func
 
 
 _register("n", lambda ctx: ctx.tree.n)
@@ -93,25 +101,21 @@ _register("planar", lambda ctx: int(ctx.flags.planar),
 _register("one_ec", lambda ctx: int(ctx.flags.one_endpoint_crossing),
           order_dependent=True)
 _register("head_initial_ratio",
-          _guard_edges(lambda ctx: linarr.head_initial_ratio(ctx.tree, ctx.arrangement)),
+          _defined(lambda ctx: linarr.head_initial_ratio(ctx.tree, ctx.arrangement)),
           order_dependent=True)
 _register("flux_max_size",
-          _guard_edges(lambda ctx: ctx.flux.max_size), order_dependent=True)
+          _defined(lambda ctx: ctx.flux.max_size), order_dependent=True)
 _register("flux_max_weight",
-          _guard_edges(lambda ctx: ctx.flux.max_weight), order_dependent=True)
+          _defined(lambda ctx: ctx.flux.max_weight), order_dependent=True)
 _register("flux_mean_size",
-          _guard_edges(lambda ctx: Fraction(ctx.flux.total_size, ctx.tree.n - 1)),
+          _defined(lambda ctx: Fraction(ctx.flux.total_size, ctx.tree.n - 1)),
           order_dependent=True)
-_register("MHD",
-          _guard_edges(lambda ctx: properties.mean_hierarchical_distance(ctx.tree)))
-_register("hubiness",
-          lambda ctx: properties.hubiness(ctx.tree) if ctx.tree.n >= 4 else None)
+_register("MHD", _defined(lambda ctx: properties.mean_hierarchical_distance(ctx.tree)))
+_register("hubiness", _defined(lambda ctx: properties.hubiness(ctx.tree)))
 _register("Q", lambda ctx: properties.num_independent_edge_pairs(ctx.tree))
 _register("k2", lambda ctx: properties.degree_moment(ctx.tree, 2))
-_register("expected_D",
-          _guard_edges(lambda ctx: properties.expected_D_unconstrained(ctx.tree)))
-_register("expected_C",
-          _guard_edges(lambda ctx: properties.expected_C_unconstrained(ctx.tree)))
+_register("expected_D", _defined(lambda ctx: properties.expected_D_unconstrained(ctx.tree)))
+_register("expected_C", _defined(lambda ctx: properties.expected_C_unconstrained(ctx.tree)))
 for _flag in ("linear", "star", "quasistar", "bistar", "caterpillar", "spider"):
     _register(_flag,
               (lambda fl: lambda ctx: int(getattr(ctx.shape, fl)))(_flag))

@@ -61,7 +61,7 @@ class TreebankSource:
         self.error_policy = error_policy
 
     def __iter__(self) -> Iterator[SentenceRecord]:
-        with open(self.path, "r", encoding="utf-8") as fh:
+        with open(self.path, "r", encoding="utf-8-sig") as fh:
             for line_no, line in enumerate(fh, start=1):
                 words = line.split()
                 if not words:
@@ -89,18 +89,11 @@ def read_head_vectors(path: str, error_policy: str = "fail_fast") -> TreebankSou
 def render_value(value, exact: bool = False) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
-        if exact:
-            return str(value)  # "p/q", or "p" when integral
+    # `type(value) is` skips the ABC check that isinstance runs on each int
+    if type(value) is Fraction and not exact:
         # int / int is correctly rounded: the same float as float(value)
         return f"{value.numerator / value.denominator:.6f}"
-    if isinstance(value, float):
-        return f"{value:.6f}"
-    return str(value)
+    return str(value)  # an int, or "p/q" ("p" when integral) for a Fraction
 
 
 @functools.cache
@@ -208,7 +201,7 @@ def _collection_members(list_path: str, error_policy: str,
     are rejected before anything is written."""
     base = os.path.dirname(os.path.abspath(list_path))
     members: dict[str, str] = {}
-    with open(list_path, "r", encoding="utf-8") as fh:
+    with open(list_path, "r", encoding="utf-8-sig") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):

@@ -53,6 +53,13 @@ def test_parse_basic(tmp_path):
         assert (report.converted, report.filtered, report.errored) == (1, 0, [])
 
 
+def test_byte_order_mark_is_not_part_of_the_first_token(tmp_path):
+    p = tmp_path / "a.conllu"
+    p.write_text(_sentence(_u(1, "a", "NOUN", 2), _u(2, "b", "VERB", 0)),
+                 encoding="utf-8-sig")
+    assert [[t.head for t in s] for s in parse_conllu(str(p))] == [[2, 0]]
+
+
 def test_parse_skips_ranges_and_comments(tmp_path):
     p = tmp_path / "a.conllu"
     p.write_text(

@@ -13,11 +13,17 @@ from deplin import (
     random_tree,
 )
 from deplin import (
+    FreeTree,
     RootedTree,
     are_isomorphic,
     canonical_code,
     degree_moment,
+    estimate_over_arrangements,
+    estimate_over_trees,
     exhaustive_arrangements,
+    exhaustive_trees,
+    expected_C_unconstrained,
+    expected_D_unconstrained,
     features,
     head_initial_ratio,
     linarr,
@@ -25,7 +31,12 @@ from deplin import (
     min_D_projective,
     num_arrangements,
 )
-from deplin.errors import KindMismatchError, SizeMismatchError
+from deplin.errors import (
+    KindMismatchError,
+    NoEdgesError,
+    SizeMismatchError,
+    TooSmallError,
+)
 from deplin.generate import TreeKind
 
 from conftest import FIG1_HV
@@ -157,3 +168,42 @@ def test_rooted_only_entry_points_reject_free_trees():
             rooted_only.add(name)
     assert rooted_only == {"projective", "planar", "one_ec", "head_initial_ratio",
                            "MHD", "D_min_projective"}
+
+
+_NONE_AT_ONE_VERTEX = {"head_initial_ratio", "flux_max_size", "flux_max_weight",
+                       "flux_mean_size", "MHD", "hubiness", "expected_D", "expected_C"}
+
+
+def test_a_feature_is_none_exactly_where_its_function_raises_too_small():
+    kind = TreeKind.parse("labeled-rooted")
+    expected_none = {1: _NONE_AT_ONE_VERTEX, 2: {"hubiness"}, 3: {"hubiness"}, 4: set()}
+    for n, expected in expected_none.items():
+        for t in exhaustive_trees(kind, n):
+            ctx = features.FeatureContext(t, Arrangement.identity(n))
+            values = {name: feat.func(ctx) for name, feat in features.REGISTRY.items()}
+            assert {name for name, value in values.items() if value is None} == expected
+            for value in values.values():
+                # the only types that render_value is written for
+                assert value is None or type(value) is int or type(value) is Fraction
+
+
+def test_one_vertex_free_tree_is_rejected_before_its_size_is_read():
+    t = FreeTree.from_edge_list(1, [])
+    for name in ("MHD", "head_initial_ratio"):
+        with pytest.raises(KindMismatchError):
+            features.evaluate(name, t, Arrangement.identity(1))
+    with pytest.raises(KindMismatchError):
+        estimate_over_trees(TreeKind.parse("labeled-free"), 1, "MHD")
+    with pytest.raises(KindMismatchError):
+        estimate_over_arrangements(t, "head_initial_ratio")
+
+
+def test_one_vertex_metrics_raise_no_edges_error():
+    assert issubclass(NoEdgesError, TooSmallError)
+    t = from_head_vector("0")
+    a = Arrangement.identity(1)
+    for call in (lambda: head_initial_ratio(t, a), lambda: flux(t, a),
+                 lambda: flux(t.to_free(), a), lambda: mean_hierarchical_distance(t),
+                 lambda: expected_D_unconstrained(t), lambda: expected_C_unconstrained(t)):
+        with pytest.raises(NoEdgesError):
+            call()

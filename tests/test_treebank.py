@@ -7,7 +7,10 @@ import random
 import pytest
 
 from deplin import (
+    Arrangement,
     TreeKind,
+    features,
+    from_head_vector,
     process_collection,
     process_treebank,
     random_tree,
@@ -16,6 +19,8 @@ from deplin import (
 from deplin.errors import MultipleRootsError, TreeValidationError
 from deplin.treebank import render_value
 from fractions import Fraction
+
+from conftest import FIG1_HV
 
 
 def test_read_fixture_sizes(treebank_file):
@@ -45,12 +50,16 @@ def test_blank_lines_ignored(tmp_path):
 
 def test_render_value():
     assert render_value(None) == ""
-    assert render_value(True) == "1"
-    assert render_value(False) == "0"
     assert render_value(3) == "3"
     assert render_value(Fraction(21, 9)) == "2.333333"
     assert render_value(Fraction(21, 9), exact=True) == "7/3"
-    assert render_value(1.5) == "1.500000"
+    # every feature value is None, an int that is not a bool, or a Fraction
+    for hv in ("0", "0 1 1", FIG1_HV):
+        t = from_head_vector(hv)
+        ctx = features.FeatureContext(t, Arrangement.identity(t.n))
+        for feat in features.REGISTRY.values():
+            value = feat.func(ctx)
+            assert value is None or type(value) is int or type(value) is Fraction
 
 
 def test_process_fig1_row(tmp_path):
@@ -86,6 +95,23 @@ def test_default_features_and_skip_report(tmp_path, treebank_file):
                               error_policy="skip_and_report")
     assert report.processed == 1
     assert len(report.skipped) == 1 and report.skipped[0][0] == 2
+
+
+def test_byte_order_mark_is_not_part_of_the_first_head(tmp_path):
+    p = tmp_path / "t.hv"
+    p.write_text("0 1 1\n0 1\n", encoding="utf-8-sig")
+    recs = list(read_head_vectors(str(p), error_policy="skip_and_report"))
+    assert [(r.line_no, r.heads, r.error) for r in recs] == [
+        (1, (0, 1, 1), None), (2, (0, 1), None)]
+
+
+def test_byte_order_mark_is_not_part_of_the_first_member(tmp_path):
+    (tmp_path / "x.hv").write_text("0 1\n", encoding="utf-8")
+    lst = tmp_path / "coll.txt"
+    lst.write_text("x.hv\n", encoding="utf-8-sig")
+    coll = process_collection(str(lst), merge_out=str(tmp_path / "m.csv"),
+                              feature_names=["D"], error_policy="fail_fast")
+    assert [name for name, _ in coll.reports] == ["x"] and coll.missing == []
 
 
 def test_threads_agree(tmp_path, treebank_file):
