@@ -11,35 +11,28 @@ import os
 import random
 import sys
 
-from . import __version__, baselines, conllu, generate, isomorphism, linarr, treebank
-from .errors import DeplinError, UnknownMetricError, _describe
-from .features import REGISTRY
-from .trees import FreeTree, RootedTree
+from . import __version__, baselines, conllu, features, generate, isomorphism, linarr, treebank
+from .errors import DeplinError, TooSmallError, UnknownMetricError, _describe
+from .trees import RootedTree
 
 _POLICY = {"skip": "skip_and_report", "fail": "fail_fast"}
 
-
-def _threads(requested) -> int:
-    if requested is not None:
-        return requested
-    env = os.environ.get("DEPLIN_THREADS")
-    if not env:
-        return os.cpu_count() or 1
-    try:
-        threads = int(env)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(f"DEPLIN_THREADS must be an integer of at least 1, got {env!r}")
-    return threads
+# the solvers behind the minimum features, which `baseline` asks for a witness
+_MIN_SOLVERS = {
+    "D_min_projective": linarr.min_D_projective,
+    "D_min_planar": linarr.min_D_planar,
+    "D_min_unconstrained": linarr.min_D_unconstrained,
+}
 
 
 def _add_common_analysis_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--features", help="comma-separated feature names (default: all but the opt-in ones)")
     p.add_argument("--policy", choices=("skip", "fail"), default="skip",
                    help="per-sentence error policy (default: skip)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker count (default: available parallelism or $DEPLIN_THREADS)")
+    p.add_argument("--threads", type=int,
+                   default=(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                            else os.cpu_count() or 1),
+                   help="worker count (default: the CPUs this process may run on)")
     p.add_argument("--exact", action="store_true",
                    help="render rational features as p/q instead of decimals")
 
@@ -87,12 +80,13 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--count", type=int, help="number of uniform random samples")
     p.add_argument("--seed", type=int, help="RNG seed for --count")
 
-    p = sub.add_parser("baseline", help="minimum/expected baselines for one tree")
+    p = sub.add_parser(
+        "baseline", help="one feature of one tree, or its mean over the tree's arrangements",
+        description="An order-dependent feature (D, C, ...) prints its mean over the "
+                    "tree's arrangements under --constraint; any other feature prints its "
+                    "exact value, and a D_min_* feature also a minimizing arrangement.")
     p.add_argument("--tree", required=True, help="head vector, e.g. '0 1 2'")
-    p.add_argument("--what", required=True,
-                   choices=("Dmin_unconstrained", "Dmin_planar", "Dmin_projective",
-                            "ED_unconstrained", "EC_unconstrained", "estimate"))
-    p.add_argument("--metric", help="registry metric for --what estimate")
+    p.add_argument("--what", required=True, help="a feature name, e.g. D_min_planar")
     p.add_argument("--constraint", default="unconstrained",
                    choices=("unconstrained", "planar", "projective"))
     p.add_argument("--mode", default="exact", choices=("exact", "monte_carlo"))
@@ -110,7 +104,7 @@ def _cmd_analyze(args) -> int:
     report = treebank.process_treebank(
         args.input, args.output, _parse_features(args.features),
         error_policy=_POLICY[args.policy], exact=args.exact,
-        threads=_threads(args.threads))
+        threads=args.threads)
     print(f"processed {report.processed} sentences, skipped {len(report.skipped)} "
           f"in {report.elapsed:.3f}s -> {report.output_path}", file=sys.stderr)
     for line_no, reason in report.skipped:
@@ -123,7 +117,7 @@ def _cmd_collection(args) -> int:
         args.list, output_dir=args.outdir, merge_out=args.merge_out,
         feature_names=_parse_features(args.features),
         error_policy=_POLICY[args.policy], exact=args.exact,
-        threads=_threads(args.threads))
+        threads=args.threads)
     print(f"{len(collection.reports)} treebanks processed, "
           f"{len(collection.missing)} missing", file=sys.stderr)
     for name, rep in collection.reports:
@@ -175,36 +169,24 @@ def _cmd_generate(args) -> int:
 
 def _cmd_baseline(args) -> int:
     tree = RootedTree.from_head_vector(args.tree)
-    what = args.what
-    if what.startswith("Dmin_"):
-        if what == "Dmin_unconstrained":
-            res = linarr.min_D_unconstrained(tree.to_free())
-        elif what == "Dmin_planar":
-            res = linarr.min_D_planar(tree.to_free())
+    (feature,) = features.resolve([args.what])
+    if feature.order_dependent:
+        res = baselines.estimate_over_arrangements(
+            tree, args.what, constraint=args.constraint, mode=args.mode,
+            samples=args.samples, seed=args.seed)
+        if res.mode == "exact":
+            print(f"mean={res.mean} variance={res.variance} samples={res.samples}")
         else:
-            res = linarr.min_D_projective(tree)
-        print(res.value)
-        print(" ".join(str(res.arrangement.position[v]) for v in tree.vertices()))
+            print(f"mean={res.mean:.6f} std_error={res.std_error:.6f} "
+                  f"samples={res.samples} seed={res.seed}")
         return 0
-    if what == "ED_unconstrained":
-        from .properties import expected_D_unconstrained
-        print(expected_D_unconstrained(tree))
-        return 0
-    if what == "EC_unconstrained":
-        from .properties import expected_C_unconstrained
-        print(expected_C_unconstrained(tree))
-        return 0
-    # estimate
-    if not args.metric:
-        raise UnknownMetricError("--metric is required with --what estimate")
-    res = baselines.estimate_over_arrangements(
-        tree, args.metric, constraint=args.constraint, mode=args.mode,
-        samples=args.samples, seed=args.seed)
-    if res.mode == "exact":
-        print(f"mean={res.mean} variance={res.variance} samples={res.samples}")
-    else:
-        print(f"mean={res.mean:.6f} std_error={res.std_error:.6f} "
-              f"samples={res.samples} seed={res.seed}")
+    value = features.evaluate(args.what, tree)
+    if value is None:
+        raise TooSmallError(f"{args.what} is undefined at n = {tree.n}")
+    print(treebank.render_value(value, exact=True))
+    if args.what in _MIN_SOLVERS:
+        witness = _MIN_SOLVERS[args.what](tree).arrangement
+        print(" ".join(str(witness.position[v]) for v in tree.vertices()))
     return 0
 
 
@@ -240,7 +222,7 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except UnknownMetricError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print(f"registered features: {', '.join(sorted(REGISTRY))}", file=sys.stderr)
+        print(f"registered features: {', '.join(sorted(features.REGISTRY))}", file=sys.stderr)
         return 2
     except DeplinError as exc:
         where = f"{exc._path}, line {exc.line_no}: " if exc._path else ""

@@ -105,12 +105,12 @@ def _sentence(first_line: int, block: list[tuple[int, str]]) -> list[ConlluToken
                 line_no)
         if "-" in cols[0] or "." in cols[0]:
             continue  # multiword-token range or empty node
-        try:
-            idx, head = int(cols[0]), int(cols[6])
-        except ValueError:
+        idx, head = cols[0], cols[6]
+        # ASCII digits only: `int` would also take signs, spaces, '_' and other scripts' digits
+        if not (idx.isascii() and idx.isdigit() and head.isascii() and head.isdigit()):
             raise MalformedLineError(
-                f"non-integer ID or HEAD on line {line_no}", line_no) from None
-        tokens.append(ConlluToken(idx, *cols[1:6], head, *cols[7:]))
+                f"non-integer ID or HEAD on line {line_no}", line_no)
+        tokens.append(ConlluToken(int(idx), *cols[1:6], int(head), *cols[7:]))
     n = len(tokens)
     if [t.id for t in tokens] != list(range(1, n + 1)):
         raise NonContiguousIdsError(

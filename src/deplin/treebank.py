@@ -1,10 +1,10 @@
 """Head-vector treebank reading and CSV feature extraction.
 
-File grammar: one sentence per line, base-10 integers separated by
-whitespace, blank lines ignored.  Output CSV: comma separator, LF line
-endings, header `sentence_id,n,<features...>`; one row per valid sentence in
-input order.  The sentence's own word order (identity arrangement) is used
-for arrangement-dependent features.
+File grammar: one sentence per line, base-10 integers (an optional `-` and
+ASCII digits) separated by whitespace, blank lines ignored.  Output CSV:
+comma separator, LF line endings, header `sentence_id,n,<features...>`; one
+row per valid sentence in input order.  The sentence's own word order
+(identity arrangement) is used for arrangement-dependent features.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import features
 from .errors import DeplinError, MalformedLineError, _skip_or_fail
-from .trees import Arrangement, RootedTree
+from .trees import Arrangement, RootedTree, parse_head_vector
 
 _POLICIES = ("fail_fast", "skip_and_report")
 
@@ -63,13 +63,12 @@ class TreebankSource:
     def __iter__(self) -> Iterator[SentenceRecord]:
         with open(self.path, "r", encoding="utf-8-sig") as fh:
             for line_no, line in enumerate(fh, start=1):
-                words = line.split()
-                if not words:
+                if line.isspace():
                     continue
                 heads = None
                 try:
                     try:
-                        heads = tuple(map(int, words))
+                        heads = parse_head_vector(line)
                     except ValueError:
                         raise MalformedLineError("non-integer token") from None
                     tree = RootedTree.from_head_vector(heads)

@@ -29,7 +29,11 @@ HeadVector = Sequence[int]
 
 
 def parse_head_vector(text: str) -> tuple[int, ...]:
-    """Parse a whitespace-separated head vector line into a tuple of ints."""
+    """Parse a whitespace-separated head vector line into a tuple of ints.
+    A token is an optional '-' and ASCII digits: `int` alone would also take
+    a '+', '_' between digits and non-ASCII digits, which the line test rejects."""
+    if not text.isascii() or "_" in text or "+" in text:
+        raise ValueError(f"head vector tokens must be base-10 integers: {text.strip()!r}")
     return tuple(map(int, text.split()))
 
 

@@ -8,12 +8,17 @@ import pytest
 import deplin
 from deplin import (
     Arrangement,
+    TreeKind,
     classify_arrangement,
+    estimate_over_arrangements,
+    exhaustive_trees,
+    features,
     from_head_vector,
     num_crossings,
     sum_edge_lengths,
 )
-from deplin.cli import main
+from deplin.cli import build_parser, main
+from deplin.treebank import render_value
 
 
 def run_cli(args, capsys):
@@ -111,7 +116,7 @@ def test_fail_fast_error_names_its_file_and_line(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("threads", ["0", "-4"])
-def test_threads_below_one_is_usage_error(tmp_path, capsys, monkeypatch, threads):
+def test_threads_below_one_is_usage_error(tmp_path, capsys, threads):
     src = tmp_path / "t.hv"
     src.write_text("0 1\n", encoding="utf-8")
     lst = tmp_path / "c.txt"
@@ -120,10 +125,11 @@ def test_threads_below_one_is_usage_error(tmp_path, capsys, monkeypatch, threads
                  ["collection", str(lst), "--merge-out", str(tmp_path / "m.csv")]):
         code, _, err = run_cli(args + ["--threads", threads], capsys)
         assert code == 2 and "threads must be at least 1" in err
-        for env in (threads, "two"):
-            monkeypatch.setenv("DEPLIN_THREADS", env)
-            code, _, err = run_cli(args, capsys)
-            assert code == 2 and "DEPLIN_THREADS" in err
+
+
+def test_default_threads_are_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert build_parser().parse_args(["analyze", "a", "b"]).threads == 1
 
 
 def test_generate_exhaustive(capsys):
@@ -153,17 +159,17 @@ def test_generate_random_seeded(capsys):
 
 def test_baseline_values(capsys):
     code, out, _ = run_cli(
-        ["baseline", "--tree", "0 1 2", "--what", "ED_unconstrained"], capsys)
+        ["baseline", "--tree", "0 1 2", "--what", "expected_D"], capsys)
     assert code == 0 and out.strip() == "8/3"
     code, out, _ = run_cli(
-        ["baseline", "--tree", "0 1 1 1 1", "--what", "Dmin_unconstrained"], capsys)
+        ["baseline", "--tree", "0 1 1 1 1", "--what", "D_min_unconstrained"], capsys)
     assert code == 0 and out.splitlines()[0] == "6"
     code, out, _ = run_cli(
-        ["baseline", "--tree", "0 1", "--what", "EC_unconstrained"], capsys)
+        ["baseline", "--tree", "0 1", "--what", "expected_C"], capsys)
     assert code == 0 and out.strip() == "0"
 
 
-@pytest.mark.parametrize("what", ["Dmin_planar", "Dmin_projective"])
+@pytest.mark.parametrize("what", ["D_min_planar", "D_min_projective"])
 def test_baseline_min_witness(what, capsys):
     # the witness may be any optimal arrangement; only its value is fixed
     hv = "2 3 0 3 2 7 5 4 3 9 9 1"
@@ -176,25 +182,53 @@ def test_baseline_min_witness(what, capsys):
     a = Arrangement(positions)
     assert sum_edge_lengths(t, a) == int(value)
     assert num_crossings(t, a) == 0
-    if what == "Dmin_projective":
+    if what == "D_min_projective":
         assert classify_arrangement(t, a).projective
 
 
 def test_baseline_estimate(capsys):
     code, out, _ = run_cli(
-        ["baseline", "--tree", "0 1 2 2", "--what", "estimate",
-         "--metric", "D", "--mode", "exact"], capsys)
+        ["baseline", "--tree", "0 1 2 2", "--what", "D", "--mode", "exact"], capsys)
     assert code == 0 and out.startswith("mean=5 ")
     code, out, _ = run_cli(
-        ["baseline", "--tree", "0 1 2 2", "--what", "estimate", "--metric", "D",
+        ["baseline", "--tree", "0 1 2 2", "--what", "D",
          "--mode", "monte_carlo", "--samples", "500", "--seed", "9"], capsys)
     assert code == 0 and "seed=9" in out
+
+
+def test_baseline_reads_the_feature_registry(capsys):
+    kind = TreeKind.parse("labeled-rooted")
+    for t in [t for n in range(1, 5) for t in exhaustive_trees(kind, n)]:
+        hv = t.head_vector_str()
+        for name, feature in features.REGISTRY.items():
+            code, out, err = run_cli(["baseline", "--tree", hv, "--what", name], capsys)
+            if feature.order_dependent:
+                try:
+                    res = estimate_over_arrangements(t, name, mode="exact")
+                except ValueError:  # undefined on some arrangement
+                    assert code == 2 and out == ""
+                    continue
+                assert code == 0
+                assert out == f"mean={res.mean} variance={res.variance} samples={res.samples}\n"
+                continue
+            value = features.evaluate(name, t)
+            if value is None:
+                assert code == 1 and out == "" and "TooSmallError" in err
+                continue
+            assert code == 0
+            lines = out.splitlines()
+            assert lines[0] == render_value(value, exact=True)
+            if name.startswith("D_min_"):
+                witness = Arrangement([int(p) for p in lines[1].split()])
+                assert sum_edge_lengths(t, witness) == value
+            else:
+                assert len(lines) == 1
 
 
 def test_exact_estimate_beyond_the_ensemble_bound_fails(capsys):
     # 11! = 39 916 800 arrangements exceed the bound of 10**7
     code, out, err = run_cli(["baseline", "--tree", "0 1 2 3 4 5 6 7 8 9 10",
-                              "--what", "estimate", "--metric", "D"], capsys)
+                              "--what", "D"], capsys)
     assert code == 1 and out == ""
     assert "EnsembleTooLargeError" in err
 
@@ -202,14 +236,13 @@ def test_exact_estimate_beyond_the_ensemble_bound_fails(capsys):
 @pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
 def test_estimate_of_undefined_metric_is_a_usage_error(mode, capsys):
     code, out, err = run_cli(
-        ["baseline", "--tree", "0", "--what", "estimate", "--metric", "flux_max_size",
-         "--mode", mode], capsys)
+        ["baseline", "--tree", "0", "--what", "flux_max_size", "--mode", mode], capsys)
     assert code == 2 and out == "" and "metric undefined on an ensemble member" in err
 
 
 def test_samples_and_count_below_one_are_usage_errors(capsys):
     code, out, err = run_cli(
-        ["baseline", "--tree", "0 1 2 2", "--what", "estimate", "--metric", "D",
+        ["baseline", "--tree", "0 1 2 2", "--what", "D",
          "--mode", "monte_carlo", "--samples", "0"], capsys)
     assert code == 2 and out == "" and "samples must be at least 1" in err
     for count in ("0", "-2"):

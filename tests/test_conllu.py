@@ -99,6 +99,18 @@ def test_parse_malformed(tmp_path):
     assert info.value.line_no == 5
 
 
+@pytest.mark.parametrize("idx,head", [
+    ("1", "0_0"), ("1", "\u0660"), ("1", "+0"), ("1", " 0"), ("1", "-0"), ("+1", "0"),
+    ("\u0661", "0"), ("0_1", "0")])
+def test_id_and_head_are_ascii_digits(tmp_path, idx, head):
+    p = tmp_path / "a.conllu"
+    p.write_text(_sentence(_u(idx, "a", "NOUN", head)) + _sentence(_u(1, "b", "NOUN", 0)),
+                 encoding="utf-8")
+    report = convert(str(p), str(tmp_path / "a.hv"))
+    assert (tmp_path / "a.hv").read_text(encoding="utf-8") == "0\n"
+    assert report.errored == [(1, "MalformedLineError: non-integer ID or HEAD on line 1")]
+
+
 def test_identity_preprocess():
     hv = preprocess([_tok(1, 2), _tok(2, 0), _tok(3, 2)], PreprocessOptions())
     assert hv == (2, 0, 2)

@@ -42,6 +42,15 @@ def test_skip_and_report(tmp_path):
     assert info.value.line_no == 2
 
 
+@pytest.mark.parametrize("line", ["0 0_1", "0 \u0661", "0 +1", "+0"])
+def test_non_ascii_integer_tokens_skipped(tmp_path, line):
+    p = tmp_path / "t.hv"
+    p.write_text(f"0 1\n{line}\n", encoding="utf-8")
+    recs = list(read_head_vectors(str(p), error_policy="skip_and_report"))
+    assert [(r.line_no, r.error) for r in recs] == [
+        (1, None), (2, "MalformedLineError: non-integer token")]
+
+
 def test_blank_lines_ignored(tmp_path):
     p = tmp_path / "t.hv"
     p.write_text("\n0 1\n\n\n0 1 2\n", encoding="utf-8")

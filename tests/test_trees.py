@@ -31,6 +31,13 @@ def test_parse_head_vector():
         parse_head_vector("0 x")
 
 
+@pytest.mark.parametrize("text", ["0 0_1", "0 \u0661", "0 +1", "+0"])
+def test_head_vector_tokens_are_ascii_integers(text):
+    # `int` reads "0_1" and "+1" as 1, and so the Arabic-Indic digit one
+    with pytest.raises(ValueError, match="base-10 integers"):
+        parse_head_vector(text)
+
+
 def test_fixture_head_vectors_parse():
     t = from_head_vector("0 1 2 6 4 1 6 6 6")
     assert t.n == 9 and t.root == 1
