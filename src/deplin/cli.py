@@ -64,9 +64,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--remove-punct", action="store_true")
-    p.add_argument("--remove-function-words", action="store_true")
-    p.add_argument("--function-words",
-                   help="comma-separated UPOS set overriding the default function-word classes")
+    p.add_argument("--remove-function-words", action="store_true",
+                   help="remove the default function-word UPOS classes")
+    p.add_argument("--function-words", metavar="UPOS,...",
+                   help="comma-separated UPOS classes to remove; overrides --remove-function-words")
     p.add_argument("--min-len", type=int)
     p.add_argument("--max-len", type=int)
     p.add_argument("--policy", choices=("skip", "fail"), default="skip")
@@ -131,12 +132,10 @@ def _cmd_collection(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    fw = (frozenset(args.function_words.split(","))
-          if args.function_words else conllu.DEFAULT_FUNCTION_WORD_UPOS)
-    opts = conllu.PreprocessOptions(
-        remove_punct=args.remove_punct,
-        remove_function_words=args.remove_function_words,
-        min_len=args.min_len, max_len=args.max_len, function_word_upos=fw)
+    function_words = (frozenset(args.function_words.split(",")) if args.function_words
+                      else conllu.DEFAULT_FUNCTION_WORD_UPOS if args.remove_function_words
+                      else frozenset())
+    opts = conllu.PreprocessOptions(args.remove_punct, function_words, args.min_len, args.max_len)
     report = conllu.convert(args.input, args.output, opts,
                             error_policy=_POLICY[args.policy])
     print(f"converted {report.converted}, filtered {report.filtered}, "
@@ -221,8 +220,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except UnknownMetricError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(f"registered features: {', '.join(sorted(features.REGISTRY))}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)  # the message lists the registry
         return 2
     except DeplinError as exc:
         where = f"{exc._path}, line {exc.line_no}: " if exc._path else ""

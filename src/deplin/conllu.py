@@ -10,10 +10,11 @@ non-comment lines with their line numbers, and one function that parses and
 validates a block's tokens; a block of only ranges and empty nodes is skipped.
 
 A sentence must be a tree (one root, no self-head, no cycle) before any
-removal or length filter, or it is an error.  Dropping punctuation or
-function words contracts the tree: a retained token attaches to its nearest
-retained ancestor; the leftmost retained token without one becomes the root
-and the others without one attach to it.  Length filters apply after removal.
+removal or length filter, or it is an error.  Dropping punctuation or the
+UPOS classes of `PreprocessOptions.function_words` contracts the tree: a
+retained token attaches to its nearest retained ancestor; the leftmost
+retained token without one becomes the root and the others without one
+attach to it.  Length filters apply after removal.
 """
 
 from __future__ import annotations
@@ -55,11 +56,13 @@ class ConlluToken:
 
 @dataclass(frozen=True)
 class PreprocessOptions:
+    """What a conversion drops: PUNCT under `remove_punct`, the UPOS classes in
+    `function_words` (none by default), then sentences outside `min_len`..`max_len`."""
+
     remove_punct: bool = False
-    remove_function_words: bool = False
+    function_words: frozenset = frozenset()
     min_len: Optional[int] = None
     max_len: Optional[int] = None
-    function_word_upos: frozenset = DEFAULT_FUNCTION_WORD_UPOS
 
     def __post_init__(self):
         if (self.min_len is not None and self.max_len is not None
@@ -144,9 +147,7 @@ def preprocess(tokens: list[ConlluToken],
         raise CycleError("no retained token reaches the root: cycle in head chain")
     tree = RootedTree.from_head_vector([t.head for t in tokens])
 
-    removed = {"PUNCT"} if opts.remove_punct else set()
-    if opts.remove_function_words:
-        removed.update(opts.function_word_upos)
+    removed = {"PUNCT", *opts.function_words} if opts.remove_punct else opts.function_words
     kept = [t.id for t in tokens if t.upos not in removed]
     n = len(kept)
     if (not kept or (opts.min_len is not None and n < opts.min_len)

@@ -67,7 +67,9 @@ class EnsembleTooLargeError(DeplinError, ValueError):
 
 
 class UnknownMetricError(DeplinError, KeyError):
-    """Metric name not present in the feature registry."""
+    """Metric name not present in the feature registry; printed unquoted."""
+
+    __str__ = BaseException.__str__  # a KeyError's str() is the repr of its key
 
 
 class KindMismatchError(DeplinError, ValueError):

@@ -1,8 +1,9 @@
 """Registry of named metrics shared by treebank processing and baselines.
 
 Each feature is identified by a stable string key used both in CSV headers
-and on the command line.  Features evaluate against a (tree, arrangement)
-context that computes each shared per-sentence intermediate at most once:
+and on the command line; an unknown key's error lists the registry.  Features
+evaluate against a (tree, arrangement) context, by default the tree's own
+order, that computes each shared per-sentence intermediate at most once:
 the positioned edge list, the crossing count C, the arrangement flags, the
 flux profile and the tree-shape flags.  One crossing sweep over one edge
 list thus serves C, projective, planar and one_ec, and the same edge list
@@ -35,7 +36,7 @@ class FeatureContext:
 
     def __init__(self, tree: Tree, arrangement: Optional[Arrangement] = None):
         self.tree = tree
-        self.arrangement = arrangement
+        self.arrangement = Arrangement.identity(tree.n) if arrangement is None else arrangement
 
     @property
     def rooted(self) -> RootedTree:

@@ -33,7 +33,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from math import factorial
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from .errors import SizeLimitExceededError
 from .trees import Arrangement, FreeTree, RootedTree, _check_rooted, _degrees
@@ -444,11 +444,9 @@ def _sample_projective_order(rt: RootedTree, rng: random.Random,
     return _projective_order(rt, block)
 
 
-def random_arrangement(t: Tree, constraint: str = "unconstrained",
-                       rng: Optional[random.Random] = None) -> Arrangement:
-    """One arrangement drawn uniformly from the constrained set."""
-    if rng is None:
-        rng = random.Random()
+def random_arrangement(t: Tree, constraint: str, rng: random.Random) -> Arrangement:
+    """One arrangement drawn uniformly from the constrained set, with `rng`
+    as the only source of randomness, as in `random_tree`."""
     if constraint == "unconstrained":
         order = list(range(1, t.n + 1))
         rng.shuffle(order)

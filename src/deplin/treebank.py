@@ -3,8 +3,8 @@
 File grammar: one sentence per line, base-10 integers (an optional `-` and
 ASCII digits) separated by whitespace, blank lines ignored.  Output CSV:
 comma separator, LF line endings, header `sentence_id,n,<features...>`; one
-row per valid sentence in input order.  The sentence's own word order
-(identity arrangement) is used for arrangement-dependent features.
+row per valid sentence in input order.  Order-dependent features read the
+sentence's own word order, the default arrangement of a `FeatureContext`.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import features
-from .errors import DeplinError, MalformedLineError, _skip_or_fail
-from .trees import Arrangement, RootedTree, parse_head_vector
+from .errors import DeplinError, _skip_or_fail
+from .trees import RootedTree, parse_head_vector
 
 _POLICIES = ("fail_fast", "skip_and_report")
 
@@ -65,18 +65,13 @@ class TreebankSource:
             for line_no, line in enumerate(fh, start=1):
                 if line.isspace():
                     continue
-                heads = None
+                heads = tree = error = None
                 try:
-                    try:
-                        heads = parse_head_vector(line)
-                    except ValueError:
-                        raise MalformedLineError("non-integer token") from None
+                    heads = parse_head_vector(line)
                     tree = RootedTree.from_head_vector(heads)
                 except DeplinError as exc:
-                    yield SentenceRecord(line_no, heads, None, _skip_or_fail(
-                        exc, line_no, self.path, self.error_policy))
-                    continue
-                yield SentenceRecord(line_no, heads, tree)
+                    error = _skip_or_fail(exc, line_no, self.path, self.error_policy)
+                yield SentenceRecord(line_no, heads, tree, error)
 
 
 def read_head_vectors(path: str, error_policy: str = "fail_fast") -> TreebankSource:
@@ -103,7 +98,7 @@ def _feature_funcs(names: tuple[str, ...]) -> tuple:
 
 def _row(names: tuple[str, ...], exact: bool, item: tuple[int, RootedTree]) -> str:
     sentence_id, tree = item
-    ctx = features.FeatureContext(tree, Arrangement.identity(tree.n))
+    ctx = features.FeatureContext(tree)
     values = (render_value(func(ctx), exact) for func in _feature_funcs(names))
     return ",".join([str(sentence_id), str(tree.n), *values])
 

@@ -16,6 +16,7 @@ from .errors import (
     CycleError,
     DuplicateEdgeError,
     KindMismatchError,
+    MalformedLineError,
     MultipleRootsError,
     NoRootError,
     NotATreeError,
@@ -29,12 +30,15 @@ HeadVector = Sequence[int]
 
 
 def parse_head_vector(text: str) -> tuple[int, ...]:
-    """Parse a whitespace-separated head vector line into a tuple of ints.
-    A token is an optional '-' and ASCII digits: `int` alone would also take
-    a '+', '_' between digits and non-ASCII digits, which the line test rejects."""
-    if not text.isascii() or "_" in text or "+" in text:
-        raise ValueError(f"head vector tokens must be base-10 integers: {text.strip()!r}")
-    return tuple(map(int, text.split()))
+    """Parse a whitespace-separated head vector line into a tuple of ints.  A
+    token is an optional '-' and ASCII digits (`int` alone would also take a '+',
+    '_' between digits and non-ASCII digits); any other raises MalformedLineError."""
+    if text.isascii() and "_" not in text and "+" not in text:
+        try:
+            return tuple(map(int, text.split()))
+        except ValueError:
+            pass
+    raise MalformedLineError("non-integer token")
 
 
 class FreeTree:

@@ -21,6 +21,9 @@ from deplin.cli import build_parser, main
 from deplin.treebank import render_value
 
 
+_REGISTRY = ", ".join(sorted(features.REGISTRY))
+
+
 def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
@@ -72,7 +75,8 @@ def test_analyze_unknown_feature(tmp_path, capsys):
     code, _, err = run_cli(
         ["analyze", str(src), str(tmp_path / "o.csv"), "--features", "bogus"],
         capsys)
-    assert code == 2 and "registered features" in err
+    # the registry is listed once, unquoted
+    assert code == 2 and err == f"error: unknown feature 'bogus'; registered: {_REGISTRY}\n"
 
 
 def test_analyze_fail_policy_exit_code(tmp_path, capsys):
@@ -225,6 +229,19 @@ def test_baseline_reads_the_feature_registry(capsys):
                 assert len(lines) == 1
 
 
+def test_baseline_unknown_feature_lists_the_registry_once(capsys):
+    code, out, err = run_cli(["baseline", "--tree", "0 1", "--what", "bogus"], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: unknown feature 'bogus'; registered: {_REGISTRY}\n"
+
+
+def test_baseline_malformed_tree_is_a_malformed_line(capsys):
+    # the same error and exit code as `analyze --policy fail` on that line
+    code, out, err = run_cli(["baseline", "--tree", "0 x", "--what", "D"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: MalformedLineError: non-integer token\n"
+
+
 def test_exact_estimate_beyond_the_ensemble_bound_fails(capsys):
     # 11! = 39 916 800 arrangements exceed the bound of 10**7
     code, out, err = run_cli(["baseline", "--tree", "0 1 2 3 4 5 6 7 8 9 10",
@@ -291,6 +308,22 @@ def test_convert_cli(tmp_path, capsys):
     assert code == 0
     assert out.read_text(encoding="utf-8") == "2 0\n"
     assert "converted 1" in err
+
+
+def test_convert_function_words_alone_removes_them(tmp_path, capsys):
+    src = tmp_path / "s.conllu"
+    src.write_text(
+        "1\tthe\tthe\tDET\t_\t_\t2\tdet\t_\t_\n"
+        "2\tdog\tdog\tNOUN\t_\t_\t0\troot\t_\t_\n"
+        "3\tran\trun\tVERB\t_\t_\t2\tdep\t_\t_\n\n",
+        encoding="utf-8")
+    out = tmp_path / "o.hv"
+    for flags, heads in [([], "2 0 2"), (["--function-words", "DET"], "0 1"),
+                         (["--remove-function-words"], "0 1"),
+                         (["--remove-function-words", "--function-words", "VERB"], "2 0")]:
+        code, _, _ = run_cli(["convert", str(src), str(out), *flags], capsys)
+        assert code == 0
+        assert out.read_text(encoding="utf-8") == heads + "\n"
 
 
 def test_collection_cli(tmp_path, capsys):

@@ -138,10 +138,9 @@ def test_root_removed_promotes_leftmost_child():
 
 def test_function_word_removal():
     toks = [_tok(1, 2, upos="DET"), _tok(2, 0, upos="NOUN"), _tok(3, 2, upos="ADP")]
-    hv = preprocess(toks, PreprocessOptions(remove_function_words=True))
+    hv = preprocess(toks, PreprocessOptions(function_words=DEFAULT_FUNCTION_WORD_UPOS))
     assert hv == (0,)
-    custom = PreprocessOptions(remove_function_words=True,
-                               function_word_upos=frozenset({"ADP"}))
+    custom = PreprocessOptions(function_words=frozenset({"ADP"}))
     assert preprocess(toks, custom) == (2, 0)
 
 

@@ -129,6 +129,15 @@ def test_default_features_share_one_size_pass_and_build_no_free_tree(monkeypatch
         assert isinstance(t._subtree_sizes(), tuple)
 
 
+def test_the_default_arrangement_is_the_trees_own_order():
+    kind = TreeKind.parse("labeled-rooted")
+    for t in [t for n in range(1, 6) for t in exhaustive_trees(kind, n)]:
+        own = Arrangement.identity(t.n)
+        for name, feat in features.REGISTRY.items():
+            if feat.order_dependent:
+                assert features.evaluate(name, t) == features.evaluate(name, t, own), name
+
+
 @pytest.mark.parametrize("size", [2, 12])
 def test_wrong_size_arrangement_raises_through_every_order_dependent_feature(size):
     t = from_head_vector(FIG1_HV)  # n = 9, rooted at vertex 3

@@ -34,7 +34,7 @@ def test_parse_head_vector():
 @pytest.mark.parametrize("text", ["0 0_1", "0 \u0661", "0 +1", "+0"])
 def test_head_vector_tokens_are_ascii_integers(text):
     # `int` reads "0_1" and "+1" as 1, and so the Arabic-Indic digit one
-    with pytest.raises(ValueError, match="base-10 integers"):
+    with pytest.raises(ValueError, match="non-integer token"):
         parse_head_vector(text)
 
 

@@ -72,6 +72,8 @@ CASES = {
         lambda p: RootedTree.root_at(from_head_vector("0 1").to_free(), 0),
         OutOfRangeError, "root 0 out of range"),
     "empty head vector": (lambda p: from_head_vector([]), NoRootError, "empty"),
+    "head vector non-integer token": (
+        lambda p: from_head_vector("0 x"), MalformedLineError, "non-integer token"),
     "edge list of no vertex": (
         lambda p: FreeTree.from_edge_list(0, []), NotATreeError, "at least one vertex"),
     "vertex order repeats a vertex": (
@@ -90,6 +92,9 @@ CASES = {
     "random_arrangement constraint": (
         lambda p: random_arrangement(from_head_vector("0 1"), "bad", random.Random(1)),
         ValueError, "unknown constraint"),
+    "random_arrangement without an rng": (
+        lambda p: random_arrangement(from_head_vector("0 1"), "planar"),
+        TypeError, "rng"),
     "tree kind without a dash": (
         lambda p: TreeKind.parse("labeled"), ValueError, "bad tree kind"),
     "tree kind labeling": (
