@@ -24,9 +24,7 @@ from .generate import (
     random_arrangement,
     random_tree,
 )
-from .trees import FreeTree, RootedTree
-
-Tree = Union[FreeTree, RootedTree]
+from .trees import Tree
 
 DEFAULT_ARRANGEMENT_ITEMS = 10**7
 DEFAULT_TREE_ITEMS = 10**6

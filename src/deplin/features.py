@@ -3,15 +3,16 @@
 Each feature is identified by a stable string key used both in CSV headers
 and on the command line; an unknown key's error lists the registry.  Features
 evaluate against a (tree, arrangement) context, by default the tree's own
-order, that computes each shared per-sentence intermediate at most once:
-the positioned edge list, the crossing count C, the arrangement flags, the
-flux profile and the tree-shape flags.  One crossing sweep over one edge
-list thus serves C, projective, planar and one_ec, and the same edge list
-serves D; the flux profile reads the tree and the positions directly.  A
+order, built only when a feature reads it.  The context computes each
+shared per-sentence intermediate at most once: the positioned edge list,
+the crossing count C, the arrangement flags, the flux profile and the
+tree-shape flags.  One crossing sweep over one edge list thus serves C,
+projective, planar and one_ec, and the same edge list serves D; the flux
+profile reads the tree and the positions directly.  A
 rooted tree memoizes its subtree-size pass, so MHD and D_min_projective
 share one pass, flux reads the vertex order the tree recorded when it was
-built, and the degree features read degrees from the rooted tree without
-building its free tree.
+built, and the degree features read one degree sequence, kept once per
+tree, like its subtree sizes, without building the free tree.
 A feature is None, an empty CSV cell, exactly where the metric's own
 function raises TooSmallError: NoEdgesError below two vertices, and
 hubiness below four.
@@ -22,13 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from . import linarr, properties
 from .errors import TooSmallError, UnknownMetricError
-from .trees import Arrangement, FreeTree, RootedTree, _check_rooted, _check_same_size
-
-Tree = Union[FreeTree, RootedTree]
+from .trees import Arrangement, RootedTree, Tree, _check_rooted, _check_same_size
 
 
 class FeatureContext:
@@ -36,7 +35,13 @@ class FeatureContext:
 
     def __init__(self, tree: Tree, arrangement: Optional[Arrangement] = None):
         self.tree = tree
-        self.arrangement = Arrangement.identity(tree.n) if arrangement is None else arrangement
+        if arrangement is not None:
+            self.arrangement = arrangement
+
+    @cached_property
+    def arrangement(self) -> Arrangement:
+        """The sentence's own order, built only when a feature reads it."""
+        return Arrangement.identity(self.tree.n)
 
     @property
     def rooted(self) -> RootedTree:

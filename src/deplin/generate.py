@@ -33,12 +33,10 @@ import itertools
 import random
 from dataclasses import dataclass
 from math import factorial
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence
 
 from .errors import SizeLimitExceededError
-from .trees import Arrangement, FreeTree, RootedTree, _check_rooted, _degrees
-
-Tree = Union[FreeTree, RootedTree]
+from .trees import Arrangement, FreeTree, RootedTree, Tree, _check_rooted, _degrees
 
 DEFAULT_EXHAUSTIVE_BOUND = 10
 

@@ -11,12 +11,8 @@ centre has two vertices).
 
 from __future__ import annotations
 
-from typing import Union
-
 from .properties import centre
-from .trees import FreeTree, RootedTree, _check_rooted
-
-Tree = Union[FreeTree, RootedTree]
+from .trees import RootedTree, Tree, _check_rooted
 
 
 def canonical_code(t: RootedTree) -> str:

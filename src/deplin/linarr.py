@@ -20,13 +20,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from . import properties
 from .errors import NoEdgesError
-from .trees import Arrangement, FreeTree, RootedTree, _check_rooted, _check_same_size
-
-Tree = Union[FreeTree, RootedTree]
+from .trees import Arrangement, RootedTree, Tree, _check_rooted, _check_same_size
 
 
 @dataclass(frozen=True)

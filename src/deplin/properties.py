@@ -4,12 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .errors import NoEdgesError, TooSmallError
-from .trees import FreeTree, RootedTree, _check_rooted, _degrees
-
-Tree = Union[FreeTree, RootedTree]
+from .trees import RootedTree, Tree, _check_rooted, _degrees
 
 
 @dataclass(frozen=True)
@@ -70,7 +67,7 @@ def centre(t: Tree) -> frozenset[int]:
     if n <= 2:
         return frozenset(free.vertices())
     # peel leaves layer by layer until 1 or 2 vertices remain
-    degree = _degrees(t)
+    degree = [len(a) for a in free._adj]
     remaining = n
     layer = [v for v in free.vertices() if degree[v] == 1]
     removed = bytearray(n + 1)

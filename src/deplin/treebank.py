@@ -13,6 +13,7 @@ import contextlib
 import functools
 import itertools
 import os
+import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -155,13 +156,19 @@ def _rows(path: str, output_path: str, names: list[str], exact: bool, row_map: C
 
 def _write_lines(path: str, lines: Iterable[str]) -> None:
     """Write beside the file at `path` and move into place, so a failure leaves
-    no partial file.  A stream such as a pipe or /dev/stdout is written directly:
-    replacing it would replace the device or link, not write to it."""
-    stream = os.path.exists(path) and not os.path.isfile(path)
+    no partial file.  A stream such as a pipe is written directly: replacing it
+    would replace the device or link, not write to it.  /dev/stdout and
+    /dev/stderr go through a copy of descriptor 1 or 2, since on a redirected
+    stream they name its file, and replacing that would drop what it held."""
+    fd = {"/dev/stdout": 1, "/dev/stderr": 2}.get(path)
+    if fd is not None:
+        (sys.stdout, sys.stderr)[fd - 1].flush()  # what was printed comes first
+    stream = fd is not None or (os.path.exists(path) and not os.path.isfile(path))
     target = os.path.realpath(path)
     tmp = path if stream else f"{target}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as out:
+        with open(tmp if fd is None else os.dup(fd), "w", encoding="utf-8",
+                  newline="") as out:
             for line in lines:
                 out.write(line + "\n")
         if not stream:

@@ -132,7 +132,7 @@ class RootedTree:
     It keeps the order in which the walk that built it reached the vertices,
     parents before children, for every pass that needs such an order."""
 
-    __slots__ = ("n", "root", "parent", "children", "_order", "_free", "_sizes")
+    __slots__ = ("n", "root", "parent", "children", "_order", "_free", "_sizes", "_degree")
 
     def __init__(self, free: FreeTree, root: int):
         t = RootedTree.root_at(free, root)
@@ -140,7 +140,7 @@ class RootedTree:
         self.parent, self.children = t.parent, t.children
         self._order = t._order
         self._free = t._free
-        self._sizes = None
+        self._sizes = self._degree = None
 
     @classmethod
     def root_at(cls, free: FreeTree, r: int) -> "RootedTree":
@@ -175,7 +175,7 @@ class RootedTree:
         self.children = children
         self._order = order
         self._free = free
-        self._sizes = None
+        self._sizes = self._degree = None
         return self
 
     @classmethod
@@ -273,6 +273,9 @@ class RootedTree:
         return f"RootedTree('{self.head_vector_str()}')"
 
 
+Tree = Union[FreeTree, RootedTree]
+
+
 class Arrangement:
     """A bijection vertex -> position over 1..n, with its inverse."""
 
@@ -358,18 +361,21 @@ def to_free(t: RootedTree) -> FreeTree:
     return t.to_free()
 
 
-def _degrees(t: Union[FreeTree, RootedTree]) -> list[int]:
-    """Every vertex's degree (index 0 holds 0), read from a rooted tree's
-    children and parents or from a free tree's adjacency."""
-    if isinstance(t, RootedTree):
+def _degrees(t: Tree) -> tuple[int, ...]:
+    """Every vertex's degree (index 0 holds 0).  A rooted tree's is kept once
+    per tree, like its subtree sizes, counted from its children and parents
+    on first use; a free tree's is read from its adjacency."""
+    if isinstance(t, FreeTree):
+        return tuple(map(len, t._adj))
+    if t._degree is None:
         degree = [len(kids) + 1 for kids in t.children]
         degree[0] = 0
         degree[t.root] -= 1
-        return degree
-    return [len(a) for a in t._adj]
+        t._degree = tuple(degree)
+    return t._degree
 
 
-def _check_rooted(t: Union[FreeTree, RootedTree], what: str) -> RootedTree:
+def _check_rooted(t: Tree, what: str) -> RootedTree:
     """`t`, checked to be rooted for `what`, which reads its root or orientation."""
     if not isinstance(t, RootedTree):
         raise KindMismatchError(f"{what} requires a rooted tree")

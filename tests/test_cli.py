@@ -30,19 +30,37 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
-def run_module_cli(*args):
+def run_module_cli(*args, stdout=subprocess.PIPE):
     # the child imports the same deplin as the tests, installed or not
     src = str(Path(deplin.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "deplin.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
 
 
 def test_version():
     proc = run_module_cli("--version")
     assert proc.returncode == 0
     assert proc.stdout.startswith("deplin ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_analyze_to_dev_stdout_appends_to_a_redirected_stdout(tmp_path, threads):
+    # /dev/stdout then names the file itself: the CSV must follow what the
+    # file held, not replace the file
+    src = tmp_path / "t.hv"
+    src.write_text("0 1 1\n2 0 2 3\n0\n", encoding="utf-8")
+    csv = tmp_path / "t.csv"
+    assert run_module_cli("analyze", str(src), str(csv), "--threads", threads).returncode == 0
+    out = tmp_path / "out.txt"
+    out.write_text("keep\n", encoding="utf-8")
+    with open(out, "a", encoding="utf-8") as stdout:
+        proc = run_module_cli("analyze", str(src), "/dev/stdout", "--threads", threads,
+                              stdout=stdout)
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == b"keep\n" + csv.read_bytes()
 
 
 def test_usage_error_exit_code():

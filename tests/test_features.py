@@ -138,6 +138,18 @@ def test_the_default_arrangement_is_the_trees_own_order():
                 assert features.evaluate(name, t) == features.evaluate(name, t, own), name
 
 
+def test_the_default_arrangement_is_built_only_when_a_feature_reads_it():
+    t = from_head_vector(FIG1_HV)
+    a = random_arrangement(t, "unconstrained", random.Random(5))
+    assert features.FeatureContext(t, a).arrangement is a
+    assert features.FeatureContext(t).arrangement == Arrangement.identity(t.n)
+    ctx = features.FeatureContext(t)
+    for feat in features.REGISTRY.values():
+        if not feat.order_dependent:
+            feat.func(ctx)
+    assert "arrangement" not in ctx.__dict__  # k2 and every other one read none
+
+
 @pytest.mark.parametrize("size", [2, 12])
 def test_wrong_size_arrangement_raises_through_every_order_dependent_feature(size):
     t = from_head_vector(FIG1_HV)  # n = 9, rooted at vertex 3

@@ -19,7 +19,7 @@ from deplin import (
     random_tree,
 )
 from deplin.errors import SizeLimitExceededError
-from deplin.generate import ALL_KINDS, TreeKind
+from deplin.generate import ALL_KINDS, TreeKind, _centroid_counts
 from deplin.linarr import classify_arrangement, num_crossings
 from deplin.trees import RootedTree
 
@@ -45,6 +45,17 @@ def test_count_formulas():
     assert count_trees(UR, 30) == 354_426_847_597
     assert count_trees(UF, 20) == 823_065
     assert count_trees(UF, 30) == 14_830_871_802
+
+
+def test_unlabeled_free_draw_split_matches_the_count():
+    # the draw weights its centroid branch by _centroid_counts and its
+    # two-halves branch by r(r + 1)/2; together they must be Otter's count
+    for n in range(1, 201):
+        halves = 0
+        if n % 2 == 0:
+            r = count_trees(UR, n // 2)
+            halves = r * (r + 1) // 2
+        assert _centroid_counts(n)[n] + halves == count_trees(UF, n), n
 
 
 def test_unlabeled_rooted_count_quadratic(monkeypatch):

@@ -20,7 +20,8 @@ from deplin import (
     tree_shape,
 )
 from deplin.errors import KindMismatchError, NoEdgesError, TooSmallError
-from deplin.generate import TreeKind, exhaustive_trees
+from deplin.generate import TreeKind, exhaustive_trees, num_arrangements
+from deplin.trees import _degrees
 
 import oracles
 
@@ -112,6 +113,35 @@ def test_centroid_by_definition_at_every_root():
             expected = frozenset(v for v, w in worsts.items() if w == min(worsts.values()))
             assert centroid(free) == expected
             assert all(centroid(free.root_at(r)) == expected for r in free.vertices())
+
+
+def test_centre_by_definition_at_every_root():
+    for n in range(1, 11):
+        for free in exhaustive_trees(TreeKind("unlabeled", "free"), n):
+            adj = {v: free.neighbors(v) for v in free.vertices()}
+            ecc = {v: max(oracles._distances_from(adj, v).values()) for v in free.vertices()}
+            expected = frozenset(v for v, e in ecc.items() if e == min(ecc.values()))
+            assert centre(free) == expected
+            # a parsed rooting builds its own free tree, in edge order
+            assert all(centre(from_head_vector(free.root_at(r).head_vector_str())) == expected
+                       for r in free.vertices())
+
+
+def _degree_readings(t):
+    return (num_independent_edge_pairs(t), degree_moment(t, 2),
+            hubiness(t) if t.n >= 4 else None, tree_shape(t))
+
+
+def test_one_read_only_degree_sequence_per_rooted_tree():
+    for n in range(1, 10):
+        for t in exhaustive_trees(TreeKind("unlabeled", "rooted"), n):
+            assert _degrees(t) is _degrees(t)
+            # centre peels leaves by decrementing degrees; neither it nor the
+            # planar count may change what the degree readers see afterwards
+            centre(t)
+            num_arrangements(t, "planar")
+            fresh = from_head_vector(t.head_vector_str())
+            assert _degree_readings(t) == _degree_readings(fresh)
 
 
 def test_tree_shapes():

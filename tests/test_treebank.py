@@ -3,9 +3,13 @@ import multiprocessing
 import multiprocessing.pool
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import deplin
 from deplin import (
     Arrangement,
     TreeKind,
@@ -292,6 +296,22 @@ def test_output_through_symlink_replaces_target(tmp_path, treebank_file):
     process_treebank(str(treebank_file), str(link), ["D"])
     assert link.is_symlink()
     assert real.read_text(encoding="utf-8").splitlines()[0] == "sentence_id,n,D"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_output_to_dev_stdout_follows_what_the_process_printed(tmp_path, treebank_file):
+    # redirected to a file, sys.stdout is block-buffered: its text must reach
+    # the file before the CSV that goes through descriptor 1
+    code = ("import sys; from deplin import process_treebank; print('keep'); "
+            "process_treebank(sys.argv[1], '/dev/stdout', ['D']); print('end')")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(deplin.__file__).resolve().parents[1])
+    out = tmp_path / "out.txt"
+    with open(out, "w", encoding="utf-8") as stdout:
+        subprocess.run([sys.executable, "-c", code, str(treebank_file)], stdout=stdout,
+                       env=env, check=True)
+    process_treebank(str(treebank_file), str(tmp_path / "t.csv"), ["D"])
+    assert out.read_bytes() == b"keep\n" + (tmp_path / "t.csv").read_bytes() + b"end\n"
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
