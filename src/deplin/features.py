@@ -1,18 +1,18 @@
 """Registry of named metrics shared by treebank processing and baselines.
 
 Each feature is identified by a stable string key used both in CSV headers
-and on the command line; an unknown key's error lists the registry.  Features
-evaluate against a (tree, arrangement) context, by default the tree's own
-order, built only when a feature reads it.  The context computes each
-shared per-sentence intermediate at most once: the positioned edge list,
-the crossing count C, the arrangement flags, the flux profile and the
-tree-shape flags.  One crossing sweep over one edge list thus serves C,
-projective, planar and one_ec, and the same edge list serves D; the flux
-profile reads the tree and the positions directly.  A
-rooted tree memoizes its subtree-size pass, so MHD and D_min_projective
-share one pass, flux reads the vertex order the tree recorded when it was
-built, and the degree features read one degree sequence, kept once per
-tree, like its subtree sizes, without building the free tree.
+and on the command line; an unknown key's error lists the registry.
+Features evaluate against a (tree, arrangement) context, by default the
+tree's own order, built only when a feature reads it.  The context computes
+each shared per-sentence intermediate at most once.  `linarr` computes the
+arrangement ones: the positioned edge list, D, the crossing count C, the
+arrangement flags and the flux profile, so one crossing sweep over one edge
+list serves C, projective, planar and one_ec, and the same edge list serves
+D.  The context adds the tree-shape flags.  A rooted tree memoizes its
+subtree-size pass, so MHD and D_min_projective share one pass, flux reads
+the vertex order the tree recorded when it was built, and the degree
+features read one degree sequence, kept once per tree, like its subtree
+sizes, without building the free tree.
 A feature is None, an empty CSV cell, exactly where the metric's own
 function raises TooSmallError: NoEdgesError below two vertices, and
 hubiness below four.
@@ -27,44 +27,16 @@ from typing import Callable, Optional
 
 from . import linarr, properties
 from .errors import TooSmallError, UnknownMetricError
-from .trees import Arrangement, RootedTree, Tree, _check_rooted, _check_same_size
+from .trees import Arrangement, RootedTree, Tree, _check_rooted
 
 
-class FeatureContext:
-    """Lazy per-sentence intermediates, each computed at most once."""
-
-    def __init__(self, tree: Tree, arrangement: Optional[Arrangement] = None):
-        self.tree = tree
-        if arrangement is not None:
-            self.arrangement = arrangement
-
-    @cached_property
-    def arrangement(self) -> Arrangement:
-        """The sentence's own order, built only when a feature reads it."""
-        return Arrangement.identity(self.tree.n)
+class FeatureContext(linarr._Layout):
+    """A sentence's lazy intermediates, each computed at most once: those of
+    its arrangement, from `linarr`, and the shape flags of its tree."""
 
     @property
     def rooted(self) -> RootedTree:
         return _check_rooted(self.tree, "this feature")
-
-    @cached_property
-    def edges(self) -> list[tuple[int, int]]:
-        _check_same_size(self.tree, self.arrangement)
-        return linarr._positioned_edges(self.tree, self.arrangement)
-
-    @cached_property
-    def C(self) -> int:
-        return linarr._crossings_sweep(self.edges, self.tree.n)
-
-    @cached_property
-    def flags(self) -> linarr.ArrangementFlags:
-        root = self.rooted.root
-        # the edges come first: they check the arrangement's size
-        return linarr._classify(self.edges, self.C, self.arrangement.position[root])
-
-    @cached_property
-    def flux(self) -> linarr.FluxProfile:
-        return linarr.flux(self.tree, self.arrangement)
 
     @cached_property
     def shape(self) -> properties.TreeShapeFlags:
@@ -98,7 +70,7 @@ def _defined(f):
 
 
 _register("n", lambda ctx: ctx.tree.n)
-_register("D", lambda ctx: sum(r - l for l, r in ctx.edges), order_dependent=True)
+_register("D", lambda ctx: ctx.D, order_dependent=True)
 _register("C", lambda ctx: ctx.C, order_dependent=True)
 _register("projective", lambda ctx: int(ctx.flags.projective),
           order_dependent=True)

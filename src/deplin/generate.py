@@ -93,8 +93,6 @@ def _unlabeled_rooted_count(n: int) -> int:
 
 def _unlabeled_free_count(n: int) -> int:
     _unlabeled_rooted_count(n)  # fills the table
-    if n == 1:
-        return 1
     total = 2 * _rooted_counts[n]
     total -= sum(_rooted_counts[i] * _rooted_counts[n - i] for i in range(1, n))
     if n % 2 == 0:
@@ -138,7 +136,7 @@ def count_trees(kind: TreeKind, n: int) -> int:
 
 
 def _pruefer_edges(n: int, seq: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Decode a Prüfer sequence over 1..n (length n-2) into an edge list."""
+    """Decode a Prüfer sequence over 1..n (length max(n-2, 0)) into an edge list."""
     deg = [1] * (n + 1)
     for x in seq:
         deg[x] += 1
@@ -157,15 +155,13 @@ def _pruefer_edges(n: int, seq: tuple[int, ...]) -> list[tuple[int, int]]:
             while deg[ptr] != 1:
                 ptr += 1
             leaf = ptr
-    edges.append((leaf, n))
+    if leaf != n:  # join the two vertices left, unless there is only one
+        edges.append((leaf, n))
     return edges
 
 
 def _labeled_free_trees(n: int) -> Iterator[FreeTree]:
-    if n == 1:
-        yield FreeTree._from_edges(1, [])
-        return
-    for seq in itertools.product(range(1, n + 1), repeat=n - 2):
+    for seq in itertools.product(range(1, n + 1), repeat=max(n - 2, 0)):
         yield FreeTree._from_edges(n, _pruefer_edges(n, seq))
 
 
@@ -307,8 +303,6 @@ def _random_unlabeled_free(n: int, rng: random.Random) -> FreeTree:
 
 
 def _random_labeled_free(n: int, rng: random.Random) -> FreeTree:
-    if n == 1:
-        return FreeTree._from_edges(1, [])
     seq = tuple(rng.randint(1, n) for _ in range(n - 2))
     return FreeTree._from_edges(n, _pruefer_edges(n, seq))
 

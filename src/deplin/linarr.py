@@ -6,7 +6,9 @@ planar when C = 0 and projective when it is planar and no edge covers the
 root; only an arrangement with a crossing needs the pairwise test for one
 endpoint crossing.  Flux sizes and weights (maximum matchings of the edges
 over each gap) come from one children-first greedy matching run at every gap
-at once, in O(n).
+at once, in O(n).  One private class holds a tree under an arrangement and
+computes each of these at most once, from one positioned edge list and one
+sweep; the public functions and the feature registry's contexts read it.
 
 The solvers return minima of D under three regimes: unconstrained, planar
 (no crossings) and projective (planar with an uncovered root).  The planar
@@ -20,6 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from . import properties
@@ -71,9 +74,7 @@ def _positioned_edges(t: Tree, a: Arrangement) -> list[tuple[int, int]]:
 
 
 def sum_edge_lengths(t: Tree, a: Arrangement) -> int:
-    _check_same_size(t, a)
-    pos = a.position
-    return sum(abs(pos[u] - pos[v]) for u, v in t.edges())
+    return _Layout(t, a).D
 
 
 def _crossings_sweep(edges: list[tuple[int, int]], n: int) -> int:
@@ -104,8 +105,7 @@ def _crossings_sweep(edges: list[tuple[int, int]], n: int) -> int:
 
 
 def num_crossings(t: Tree, a: Arrangement) -> int:
-    _check_same_size(t, a)
-    return _crossings_sweep(_positioned_edges(t, a), t.n)
+    return _Layout(t, a).C
 
 
 def _one_endpoint_crossing(edges: list[tuple[int, int]]) -> bool:
@@ -130,10 +130,7 @@ def _classify(edges: list[tuple[int, int]], crossings: int,
 
 
 def classify_arrangement(t: RootedTree, a: Arrangement) -> ArrangementFlags:
-    _check_rooted(t, "arrangement classification")
-    _check_same_size(t, a)
-    edges = _positioned_edges(t, a)
-    return _classify(edges, _crossings_sweep(edges, t.n), a.position[t.root])
+    return _Layout(t, a).flags
 
 
 def head_initial_ratio(t: RootedTree, a: Arrangement) -> Fraction:
@@ -187,6 +184,45 @@ def flux(t: Tree, a: Arrangement) -> FluxProfile:
     if t.n < 2:
         raise NoEdgesError("flux undefined on a single vertex")
     return _flux(t if isinstance(t, RootedTree) else RootedTree.root_at(t, 1), a)
+
+
+class _Layout:
+    """A tree under an arrangement, by default the tree's own order, with
+    each intermediate that the arrangement metrics share computed at most
+    once: one edge list serves D, and one sweep over it C and the flags."""
+
+    def __init__(self, tree: Tree, arrangement: Optional[Arrangement] = None):
+        self.tree = tree
+        if arrangement is not None:
+            self.arrangement = arrangement
+
+    @cached_property
+    def arrangement(self) -> Arrangement:
+        """The tree's own order, built only when read."""
+        return Arrangement.identity(self.tree.n)
+
+    @cached_property
+    def edges(self) -> list[tuple[int, int]]:
+        _check_same_size(self.tree, self.arrangement)
+        return _positioned_edges(self.tree, self.arrangement)
+
+    @property
+    def D(self) -> int:
+        return sum(r - l for l, r in self.edges)
+
+    @cached_property
+    def C(self) -> int:
+        return _crossings_sweep(self.edges, self.tree.n)
+
+    @cached_property
+    def flags(self) -> ArrangementFlags:
+        root = _check_rooted(self.tree, "arrangement classification").root
+        # the edges come after the rooting check: they check the arrangement's size
+        return _classify(self.edges, self.C, self.arrangement.position[root])
+
+    @cached_property
+    def flux(self) -> FluxProfile:
+        return flux(self.tree, self.arrangement)  # the module's flux
 
 
 # ---------------------------------------------------------------------------

@@ -64,8 +64,6 @@ def centre(t: Tree) -> frozenset[int]:
     """Vertices of minimum eccentricity; one vertex or two adjacent ones."""
     free = t.to_free()
     n = free.n
-    if n <= 2:
-        return frozenset(free.vertices())
     # peel leaves layer by layer until 1 or 2 vertices remain
     degree = [len(a) for a in free._adj]
     remaining = n
@@ -105,7 +103,7 @@ def tree_shape(t: Tree) -> TreeShapeFlags:
     max_deg = max(degree)
     # quasistar: a star with one edge subdivided.  Degrees sum to 2n - 2, so
     # a largest degree of n - 2 forces (n-2, 2, 1, ..., 1), the degree
-    # sequence of that tree and of no other.
+    # sequence of that tree and of no other; below n = 4 no tree has it.
     # bistar: two adjacent vertices cover all edges; every other vertex is
     # then a leaf.
     # caterpillar: removing all leaves yields a path (or nothing), so no
@@ -117,8 +115,8 @@ def tree_shape(t: Tree) -> TreeShapeFlags:
             internal_neighbours[v] += 1
     return TreeShapeFlags(
         linear=max_deg <= 2,
-        star=max_deg == n - 1 or n <= 2,
-        quasistar=n >= 4 and max_deg == n - 2,
+        star=max_deg == n - 1,
+        quasistar=max_deg == n - 2,
         bistar=sum(1 for d in degree if d >= 2) <= 2,
         caterpillar=max(internal_neighbours) <= 2,
         spider=sum(1 for d in degree if d >= 3) <= 1)

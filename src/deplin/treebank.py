@@ -154,13 +154,21 @@ def _rows(path: str, output_path: str, names: list[str], exact: bool, row_map: C
     return report, rows()
 
 
+def _names_descriptor(path: str, fd: int) -> bool:
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(fd))
+    except OSError:  # no such file, or the descriptor is closed
+        return False
+
+
 def _write_lines(path: str, lines: Iterable[str]) -> None:
     """Write beside the file at `path` and move into place, so a failure leaves
     no partial file.  A stream such as a pipe is written directly: replacing it
-    would replace the device or link, not write to it.  /dev/stdout and
-    /dev/stderr go through a copy of descriptor 1 or 2, since on a redirected
-    stream they name its file, and replacing that would drop what it held."""
-    fd = {"/dev/stdout": 1, "/dev/stderr": 2}.get(path)
+    would replace the device or link, not write to it.  A path to the file
+    open as stdout or stderr, by any name (/dev/stdout, /dev/fd/1, the file's
+    own), goes through a copy of descriptor 1 or 2: replacing the file would
+    drop what the stream already wrote to it."""
+    fd = next((fd for fd in (1, 2) if _names_descriptor(path, fd)), None)
     if fd is not None:
         (sys.stdout, sys.stderr)[fd - 1].flush()  # what was printed comes first
     stream = fd is not None or (os.path.exists(path) and not os.path.isfile(path))

@@ -45,11 +45,13 @@ def test_version():
     assert proc.stdout.startswith("deplin ")
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+@pytest.mark.parametrize("name", ["/dev/stdout", "/dev/fd/1", "/proc/self/fd/1"])
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_analyze_to_dev_stdout_appends_to_a_redirected_stdout(tmp_path, threads):
-    # /dev/stdout then names the file itself: the CSV must follow what the
+def test_analyze_to_dev_stdout_appends_to_a_redirected_stdout(tmp_path, threads, name):
+    # each name then names the file itself: the CSV must follow what the
     # file held, not replace the file
+    if not os.path.exists(name):
+        pytest.skip(f"needs {name}")
     src = tmp_path / "t.hv"
     src.write_text("0 1 1\n2 0 2 3\n0\n", encoding="utf-8")
     csv = tmp_path / "t.csv"
@@ -57,8 +59,7 @@ def test_analyze_to_dev_stdout_appends_to_a_redirected_stdout(tmp_path, threads)
     out = tmp_path / "out.txt"
     out.write_text("keep\n", encoding="utf-8")
     with open(out, "a", encoding="utf-8") as stdout:
-        proc = run_module_cli("analyze", str(src), "/dev/stdout", "--threads", threads,
-                              stdout=stdout)
+        proc = run_module_cli("analyze", str(src), name, "--threads", threads, stdout=stdout)
     assert proc.returncode == 0, proc.stderr
     assert out.read_bytes() == b"keep\n" + csv.read_bytes()
 

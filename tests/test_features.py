@@ -39,6 +39,7 @@ from deplin.errors import (
 )
 from deplin.generate import TreeKind
 
+import oracles
 from conftest import FIG1_HV
 
 
@@ -46,29 +47,37 @@ from conftest import FIG1_HV
 _CONSTRAINTS = ("unconstrained", "unconstrained", "planar", "projective")
 
 
+_ARRANGEMENT_FEATURES = ("D", "C", "projective", "planar", "one_ec", "flux_max_size",
+                         "flux_max_weight", "flux_mean_size")
+
+
 def _value(name, ctx):
     return features.REGISTRY[name].func(ctx)
 
 
 def test_context_matches_public_functions():
+    # the registry and the public functions read one cache in linarr: both
+    # are checked against the brute-force oracles
     rng = random.Random(66)
     kind = TreeKind.parse("labeled-rooted")
     for i in range(1500):
         n = rng.randint(2, 40)
         t = random_tree(kind, n, rng)
         a = random_arrangement(t, _CONSTRAINTS[i % 4], rng)
+        edges, pos = list(t.edges()), a.position
+        D = oracles.edge_lengths_sum(edges, pos)
+        C = oracles.crossings_pairs(edges, pos)
+        flags = linarr.ArrangementFlags(
+            projective=oracles.is_projective(n, t.parent, pos), planar=C == 0,
+            one_endpoint_crossing=oracles.is_one_endpoint_crossing(edges, pos))
+        sizes, weights = oracles.flux_profile(n, edges, pos)
         ctx = features.FeatureContext(t, a)
-        assert _value("D", ctx) == linarr.sum_edge_lengths(t, a)
-        assert ctx.C == _value("C", ctx) == num_crossings(t, a)
-        flags = classify_arrangement(t, a)
-        assert ctx.flags == flags
-        assert [_value(name, ctx) for name in ("projective", "planar", "one_ec")] == [
-            flags.projective, flags.planar, flags.one_endpoint_crossing]
-        f = flux(t, a)
-        assert ctx.flux == f
-        assert [_value(name, ctx) for name in ("flux_max_size", "flux_max_weight",
-                                               "flux_mean_size")] == [
-            f.max_size, f.max_weight, Fraction(f.total_size, n - 1)]
+        assert [_value(name, ctx) for name in _ARRANGEMENT_FEATURES] == [
+            D, C, flags.projective, flags.planar, flags.one_endpoint_crossing,
+            max(sizes), max(weights), Fraction(sum(sizes), n - 1)]
+        public = (linarr.sum_edge_lengths(t, a), num_crossings(t, a),
+                  classify_arrangement(t, a), flux(t, a))
+        assert public == (D, C, flags, linarr.FluxProfile(sizes, weights))
 
 
 def test_one_sweep_and_one_edge_list_per_context(monkeypatch):
@@ -189,6 +198,11 @@ def test_rooted_only_entry_points_reject_free_trees():
             rooted_only.add(name)
     assert rooted_only == {"projective", "planar", "one_ec", "head_initial_ratio",
                            "MHD", "D_min_projective"}
+    # the class features raise what classify_arrangement raises
+    for name in ("projective", "planar", "one_ec"):
+        with pytest.raises(KindMismatchError,
+                           match="^arrangement classification requires a rooted tree$"):
+            features.evaluate(name, t, a)
 
 
 _NONE_AT_ONE_VERTEX = {"head_initial_ratio", "flux_max_size", "flux_max_weight",
